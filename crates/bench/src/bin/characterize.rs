@@ -38,7 +38,7 @@ fn load(path: &Path) -> TraceRecorder {
 }
 
 fn write_demo(path: &Path, backend: sioscope_pfs::BackendKind, fault_spec: Option<&str>) {
-    use sioscope::simulator::{run_backend, SimOptions};
+    use sioscope::simulator::{run, SimOptions};
     use sioscope_bench::{fault_mismatch_error, parse_fault_spec};
     use sioscope_faults::FaultSchedule;
     use sioscope_pfs::{
@@ -68,7 +68,7 @@ fn write_demo(path: &Path, backend: sioscope_pfs::BackendKind, fault_spec: Optio
         Some(spec) => {
             // The horizon the spec's fractional placements scale to:
             // the fault-free run of the same demo.
-            let horizon = run_backend(&w, &cfg(FaultSchedule::empty()), SimOptions::default())
+            let horizon = run(&w, cfg(FaultSchedule::empty()), SimOptions::default())
                 .expect("fault-free demo run")
                 .exec_time;
             let faults = parse_fault_spec(spec, horizon).unwrap_or_else(|e| exit_with(e));
@@ -81,7 +81,7 @@ fn write_demo(path: &Path, backend: sioscope_pfs::BackendKind, fault_spec: Optio
             faults
         }
     };
-    let r = run_backend(&w, &cfg(faults), SimOptions::default()).expect("demo runs");
+    let r = run(&w, cfg(faults), SimOptions::default()).expect("demo runs");
     if let Err(e) = sioscope_trace::binary::write_file(&r.trace, path) {
         exit_with(CliError::io(path, e));
     }

@@ -32,8 +32,8 @@
 use crate::canon::WorkloadId;
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::Scale;
-use crate::recovery::run_with_recovery_backend;
-use crate::simulator::{run_backend, RunResult, SimOptions};
+use crate::recovery::run_with_recovery;
+use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
 use sioscope_sim::Time;
@@ -218,9 +218,9 @@ pub fn chaos_case(
     let mut violations = Vec::new();
 
     let run_with = |faults: FaultSchedule| {
-        run_backend(
+        run(
             &workload,
-            &tier_cfg(tier, &workload, faults),
+            tier_cfg(tier, &workload, faults),
             SimOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{} on {}: {e}", id.id(), tier.id()))
@@ -286,10 +286,10 @@ pub fn chaos_case(
     let rec =
         EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
     let rec_faults = tier_schedule(tier, seed, clean.exec_time, rec.workload(), events);
-    let rec_base = run_with_recovery_backend(
+    let rec_base = run_with_recovery(
         &rec,
         &FaultSchedule::empty(),
-        &tier_cfg(tier, rec.workload(), rec_faults.clone()),
+        tier_cfg(tier, rec.workload(), rec_faults.clone()),
         SimOptions::default(),
     )
     .expect("crash-free recovery run");
@@ -299,10 +299,10 @@ pub fn chaos_case(
         horizon.scale(0.05).max(Time::from_millis(1)),
         rec.workload().nodes,
     );
-    let rec_crashed = run_with_recovery_backend(
+    let rec_crashed = run_with_recovery(
         &rec,
         &crashes,
-        &tier_cfg(tier, rec.workload(), rec_faults),
+        tier_cfg(tier, rec.workload(), rec_faults),
         SimOptions::default(),
     )
     .expect("crashed recovery run");

@@ -13,7 +13,7 @@
 //! serialization when a file maps wholly to one object).
 
 use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
-use crate::simulator::{run_backend, RunResult, SimOptions};
+use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{
     BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, OpKind, PfsConfig,
@@ -34,12 +34,8 @@ fn tier_config(kind: BackendKind, workload: &Workload) -> BackendConfig {
 }
 
 fn run_tier(kind: BackendKind, workload: &Workload) -> RunResult {
-    run_backend(
-        workload,
-        &tier_config(kind, workload),
-        SimOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
+    run(workload, tier_config(kind, workload), SimOptions::default())
+        .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
 }
 
 fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> ExperimentOutput {
@@ -193,16 +189,14 @@ fn faulted_tier(
     build: &dyn Fn(FaultSchedule) -> BackendConfig,
     faults: FaultSchedule,
 ) -> (ExperimentOutput, RunResult) {
-    let engaged = run_backend(
+    let engaged = run(
         workload,
-        &build(FaultSchedule::engaged_empty()),
+        build(FaultSchedule::engaged_empty()),
         SimOptions::default(),
     )
     .expect("engaged-empty run");
-    let faulted =
-        run_backend(workload, &build(faults.clone()), SimOptions::default()).expect("faulted run");
-    let replay =
-        run_backend(workload, &build(faults), SimOptions::default()).expect("faulted replay");
+    let faulted = run(workload, build(faults.clone()), SimOptions::default()).expect("faulted run");
+    let replay = run(workload, build(faults), SimOptions::default()).expect("faulted replay");
 
     let mut rendered = String::new();
     let _ = writeln!(rendered, "{title}");
@@ -280,9 +274,9 @@ pub fn faulty_object(scale: Scale) -> ExperimentOutput {
         obj.faults = faults;
         BackendConfig::Object(obj)
     };
-    let clean = run_backend(
+    let clean = run(
         &workload,
-        &build(FaultSchedule::empty()),
+        build(FaultSchedule::empty()),
         SimOptions::default(),
     )
     .expect("fault-free object run");
@@ -359,9 +353,9 @@ pub fn faulty_burst(scale: Scale) -> ExperimentOutput {
         burst.faults = faults;
         BackendConfig::Burst(burst)
     };
-    let clean = run_backend(
+    let clean = run(
         &workload,
-        &build(FaultSchedule::empty()),
+        build(FaultSchedule::empty()),
         SimOptions::default(),
     )
     .expect("fault-free burst run");

@@ -12,8 +12,8 @@
 //! that re-runs that study on simulated hardware:
 //!
 //! * [`simulator`] executes a [`sioscope_workloads::Workload`] — one
-//!   program per compute node — against a
-//!   [`sioscope_pfs::Pfs`] instance, capturing a Pablo-style trace;
+//!   program per compute node — against one storage tier (a
+//!   [`sioscope_pfs::BackendConfig`]), capturing a Pablo-style trace;
 //! * [`experiments`] maps every table and figure of the paper to a
 //!   runnable experiment;
 //! * [`paper`] records the paper's published numbers so reports and
@@ -49,6 +49,6 @@ pub mod sweeps;
 pub use chaos::{chaos_case, chaos_soak, stream_chaos_case, ChaosTier, ChaosVerdict};
 pub use coupled::{run_coupled, CoupledOutcome, FileRoute, Route};
 pub use experiments::{Experiment, ExperimentOutput};
-pub use recovery::{run_with_recovery, run_with_recovery_backend, RecoveryStats};
+pub use recovery::{run_with_recovery, RecoveryStats};
 pub use schedule::{run_schedule, SchedError, ScheduleOutcome};
-pub use simulator::{run, run_backend, RunResult, SimError, SimOptions};
+pub use simulator::{run, RunResult, SimError, SimOptions};

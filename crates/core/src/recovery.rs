@@ -21,11 +21,11 @@
 //! and the deterministic simulator, so same-seed recovery runs are
 //! bit-identical end to end.
 
-use crate::simulator::{run, run_backend, RunResult, SimError, SimOptions};
+use crate::simulator::{run, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{BackendConfig, OpKind, PfsConfig};
+use sioscope_pfs::{BackendConfig, OpKind};
 use sioscope_sim::{FileId, Time};
-use sioscope_workloads::{Recoverable, Workload};
+use sioscope_workloads::Recoverable;
 
 /// Accounting for one recovery story (one workload, one crash
 /// schedule, run to solution).
@@ -52,48 +52,35 @@ pub struct RecoveryStats {
     pub time_to_solution: Time,
 }
 
-/// Run `rec` to solution under the compute-node crashes in `crashes`.
+/// Run `rec` to solution under the compute-node crashes in `crashes`,
+/// on the storage tier `cfg` selects (a bare
+/// [`PfsConfig`](sioscope_pfs::PfsConfig) selects the striped PFS).
 ///
 /// Only [`FaultKind::ComputeNodeCrash`] events are consumed here; I/O
-/// faults belong in `pfs_cfg.faults` as usual (the two compose — the
-/// PFS never observes compute crashes). Crash instants are global
-/// wall-clock times; a crash that lands during another crash's
-/// rework window is absorbed by it (the partition is already down).
+/// faults belong in the tier config's own schedule as usual (the two
+/// compose — the storage layer never observes compute crashes). Crash
+/// instants are global wall-clock times; a crash that lands during
+/// another crash's rework window is absorbed by it (the partition is
+/// already down).
 ///
 /// Returns the final attempt's [`RunResult`] with
 /// [`RunResult::recovery`] filled in. With an empty crash schedule
 /// the result is bit-identical to a plain [`run`] of the annotated
-/// workload, and `time_to_solution == exec_time`.
+/// workload, and `time_to_solution == exec_time`. With a burst-buffer
+/// tier absorbing the checkpoint files, the foreground commit cost
+/// drops to log-append speed and the checkpoint-interval U-curve
+/// flattens.
 pub fn run_with_recovery(
     rec: &Recoverable,
     crashes: &FaultSchedule,
-    pfs_cfg: PfsConfig,
+    cfg: impl Into<BackendConfig>,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
+    let cfg = cfg.into();
     // Fail fast on malformed crash scenarios before any simulation.
-    let problems = crashes.validate_for(pfs_cfg.machine.io_nodes, rec.workload().nodes);
-    if !problems.is_empty() {
-        return Err(SimError::InvalidFaults(problems));
-    }
-    recovery_loop(rec, crashes, |workload| {
-        run(workload, pfs_cfg.clone(), options.clone())
-    })
-}
-
-/// [`run_with_recovery`] over an arbitrary storage tier. With a
-/// [`BackendConfig::Pfs`] tier this is equivalent to
-/// [`run_with_recovery`]; with a burst-buffer tier absorbing the
-/// checkpoint files, the foreground commit cost drops to log-append
-/// speed and the checkpoint-interval U-curve flattens.
-pub fn run_with_recovery_backend(
-    rec: &Recoverable,
-    crashes: &FaultSchedule,
-    cfg: &BackendConfig,
-    options: SimOptions,
-) -> Result<RunResult, SimError> {
     // The object store has no I/O nodes; compute-crash validation
     // still applies against the application shape.
-    let io_nodes = match cfg {
+    let io_nodes = match &cfg {
         BackendConfig::Pfs(c) => c.machine.io_nodes,
         BackendConfig::Burst(b) => b.pfs.machine.io_nodes,
         BackendConfig::Object(_) => 0,
@@ -102,20 +89,7 @@ pub fn run_with_recovery_backend(
     if !problems.is_empty() {
         return Err(SimError::InvalidFaults(problems));
     }
-    recovery_loop(rec, crashes, |workload| {
-        run_backend(workload, cfg, options.clone())
-    })
-}
 
-/// The attempt/rollback loop, generic over how one attempt executes.
-/// All recovery math (crash absorption, committed-marker rollback,
-/// rework and byte accounting) lives here exactly once, so PFS-direct
-/// and backend-routed recovery cannot drift apart.
-fn recovery_loop(
-    rec: &Recoverable,
-    crashes: &FaultSchedule,
-    mut attempt: impl FnMut(&Workload) -> Result<RunResult, SimError>,
-) -> Result<RunResult, SimError> {
     let mut crash_list: Vec<(Time, Time)> = crashes
         .events
         .iter()
@@ -143,7 +117,7 @@ fn recovery_loop(
     loop {
         stats.attempts += 1;
         let workload = rec.slice_from(from);
-        let mut result = attempt(&workload)?;
+        let mut result = run(&workload, cfg.clone(), options.clone())?;
         let exec = result.exec_time;
         // Crashes at or before the attempt's launch instant fell into
         // the previous crash's rework window: absorbed.
@@ -195,6 +169,7 @@ fn recovery_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sioscope_pfs::{BurstBufferConfig, PfsConfig};
     use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion};
 
     fn tiny_pfs(nodes: u32) -> PfsConfig {
@@ -319,13 +294,12 @@ mod tests {
         let crashes = crash_at(baseline.scale(0.6), Time::from_secs(1));
         let direct =
             run_with_recovery(&rec, &crashes, tiny_pfs(cfg.nodes), SimOptions::default()).unwrap();
-        let routed = run_with_recovery_backend(
-            &rec,
-            &crashes,
-            &BackendConfig::Pfs(tiny_pfs(cfg.nodes)),
-            SimOptions::default(),
-        )
-        .unwrap();
+        // A burst buffer absorbing no files is pure passthrough.
+        let passthrough = BackendConfig::Burst(BurstBufferConfig::absorbing(
+            tiny_pfs(cfg.nodes),
+            Vec::new(),
+        ));
+        let routed = run_with_recovery(&rec, &crashes, passthrough, SimOptions::default()).unwrap();
         assert_eq!(direct.recovery, routed.recovery);
         assert_eq!(direct.exec_time, routed.exec_time);
         assert_eq!(direct.trace.events(), routed.trace.events());
@@ -333,7 +307,6 @@ mod tests {
 
     #[test]
     fn burst_buffer_cuts_foreground_checkpoint_cost() {
-        use sioscope_pfs::BurstBufferConfig;
         let cfg = EscatConfig::tiny(EscatVersion::C);
         let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
         let plain = run_with_recovery(
@@ -347,10 +320,10 @@ mod tests {
             tiny_pfs(cfg.nodes),
             rec.checkpoint_files().to_vec(),
         ));
-        let buffered = run_with_recovery_backend(
+        let buffered = run_with_recovery(
             &rec,
             &FaultSchedule::empty(),
-            &burst_cfg,
+            burst_cfg,
             SimOptions::default(),
         )
         .unwrap();

@@ -1,15 +1,13 @@
 //! The simulation event loop.
 //!
 //! Executes one [`Workload`] — a statement program per compute node —
-//! against a [`Pfs`] instance over the machine model, recording every
+//! against one storage tier over the machine model, recording every
 //! I/O operation in a [`TraceRecorder`] exactly as Pablo's
 //! instrumentation library did: issue time, client-observed duration,
 //! size, offset, node and operation kind.
 
 use sioscope_machine::MeshModel;
-use sioscope_pfs::{
-    BackendConfig, BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend,
-};
+use sioscope_pfs::{BackendConfig, BackendStats, PfsError, ResilienceStats, StorageBackend};
 use sioscope_sim::{EventQueue, FileId, Pid, RendezvousOutcome, RendezvousTable, Time};
 use sioscope_trace::{IoEvent, TraceRecorder};
 use sioscope_workloads::{Stmt, Workload};
@@ -184,57 +182,25 @@ struct NodeState {
     finish_time: Time,
 }
 
-/// Run `workload` against a fresh PFS built from `pfs_cfg`.
+/// Run `workload` against the storage tier `cfg` selects; a bare
+/// [`PfsConfig`](sioscope_pfs::PfsConfig) selects the striped PFS.
 ///
-/// The PFS machine configuration's `compute_nodes` should equal
-/// `workload.nodes`; the OS release is taken from the workload.
+/// The tier's machine is sized to `workload.nodes` compute nodes, and
+/// the PFS (or a burst buffer's inner PFS) takes its OS release from
+/// the workload. Every fault schedule the config carries is validated
+/// against its own tier's fault vocabulary before the run starts — a
+/// PFS fault on the object store (or vice versa) is an
+/// [`SimError::InvalidFaults`], never a silently dropped event.
 pub fn run(
     workload: &Workload,
-    mut pfs_cfg: PfsConfig,
+    cfg: impl Into<BackendConfig>,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
     let problems = workload.validate();
     if !problems.is_empty() {
         return Err(SimError::InvalidWorkload(problems));
     }
-    // Fail fast on malformed fault scenarios instead of silently
-    // dropping out-of-range events mid-run. Gated on `engages` so
-    // fault-free runs stay on the exact pre-fault code path.
-    if pfs_cfg.faults.engages() {
-        let fault_problems = pfs_cfg
-            .faults
-            .validate_for(pfs_cfg.machine.io_nodes, workload.nodes);
-        if !fault_problems.is_empty() {
-            return Err(SimError::InvalidFaults(fault_problems));
-        }
-    }
-    pfs_cfg.os = workload.os;
-    pfs_cfg.machine.compute_nodes = workload.nodes;
-    let mesh = MeshModel::new(pfs_cfg.machine.mesh);
-    let mut pfs = Pfs::new(pfs_cfg);
-    // Monomorphized over the concrete `Pfs`: same calls, same code
-    // path, bit-identical to the pre-trait direct loop (pinned by
-    // `tests/backend_equivalence.rs`).
-    run_loop(workload, &mesh, &mut pfs, &options)
-}
-
-/// Run `workload` against the storage tier `cfg` selects.
-///
-/// For [`BackendConfig::Pfs`] this is equivalent to [`run`]. Every
-/// fault schedule the config carries is validated against its own
-/// tier's fault vocabulary before the run starts — a PFS fault on the
-/// object store (or vice versa) is an [`SimError::InvalidFaults`],
-/// never a silently dropped event.
-pub fn run_backend(
-    workload: &Workload,
-    cfg: &BackendConfig,
-    options: SimOptions,
-) -> Result<RunResult, SimError> {
-    let problems = workload.validate();
-    if !problems.is_empty() {
-        return Err(SimError::InvalidWorkload(problems));
-    }
-    let mut cfg = cfg.clone();
+    let mut cfg = cfg.into();
     let fault_problems = cfg.validate_faults(workload.nodes);
     if !fault_problems.is_empty() {
         return Err(SimError::InvalidFaults(fault_problems));
@@ -250,14 +216,11 @@ pub fn run_backend(
     run_loop(workload, &mesh, &mut *backend, &options)
 }
 
-/// The event loop, generic over the storage tier. Called with the
-/// concrete [`Pfs`] from [`run`] (monomorphized — no dynamic dispatch
-/// on the measured path) and with `dyn StorageBackend` from
-/// [`run_backend`].
-fn run_loop<B: StorageBackend + ?Sized>(
+/// The event loop over one storage tier.
+fn run_loop(
     workload: &Workload,
     mesh: &MeshModel,
-    backend: &mut B,
+    backend: &mut dyn StorageBackend,
     options: &SimOptions,
 ) -> Result<RunResult, SimError> {
     // Create the file table; workload file index i == FileId(i).
@@ -468,6 +431,7 @@ mod tests {
     use sioscope_pfs::mode::OsRelease;
     use sioscope_pfs::IoMode;
     use sioscope_pfs::IoOp;
+    use sioscope_pfs::PfsConfig;
     use sioscope_workloads::{EscatConfig, EscatVersion};
     use sioscope_workloads::{FileSpec, PrismConfig, PrismVersion};
 
@@ -661,20 +625,11 @@ mod tests {
     }
 
     #[test]
-    fn run_backend_pfs_tier_matches_run_exactly() {
+    fn pfs_tier_reports_no_backend_stats() {
         let w = EscatConfig::tiny(EscatVersion::B).build();
-        let direct = run(&w, tiny_pfs(w.nodes), SimOptions::default()).unwrap();
-        let routed = run_backend(
-            &w,
-            &BackendConfig::Pfs(tiny_pfs(w.nodes)),
-            SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(direct.exec_time, routed.exec_time);
-        assert_eq!(direct.node_finish, routed.node_finish);
-        assert_eq!(direct.trace.events(), routed.trace.events());
-        assert_eq!(direct.events, routed.events);
-        assert_eq!(routed.backend_stats, BackendStats::default());
+        let r = run(&w, tiny_pfs(w.nodes), SimOptions::default()).unwrap();
+        assert!(!r.trace.is_empty());
+        assert_eq!(r.backend_stats, BackendStats::default());
     }
 
     #[test]
@@ -688,8 +643,7 @@ mod tests {
         ];
         for cfg in tiers {
             let kind = cfg.kind();
-            let r = run_backend(&w, &cfg, SimOptions::default())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let r = run(&w, cfg, SimOptions::default()).unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert!(r.exec_time > Time::ZERO, "{kind}");
             assert!(!r.trace.is_empty(), "{kind}");
             assert_eq!(r.trace.invariant_violations(), 0, "{kind}");
@@ -704,7 +658,7 @@ mod tests {
         let plain = run(&w, tiny_pfs(w.nodes), SimOptions::default()).unwrap();
         let mut cfg = BurstBufferConfig::over(tiny_pfs(w.nodes));
         cfg.absorb = BurstAbsorb::Files(vec![]);
-        let buffered = run_backend(&w, &BackendConfig::Burst(cfg), SimOptions::default()).unwrap();
+        let buffered = run(&w, BackendConfig::Burst(cfg), SimOptions::default()).unwrap();
         assert_eq!(plain.exec_time, buffered.exec_time);
         assert_eq!(plain.trace.events(), buffered.trace.events());
         assert_eq!(buffered.backend_stats.bytes_logged, 0);

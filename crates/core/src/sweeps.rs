@@ -11,7 +11,7 @@ use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
 };
 use crate::experiments::Scale;
-use crate::recovery::{run_with_recovery, run_with_recovery_backend};
+use crate::recovery::run_with_recovery;
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
@@ -450,7 +450,7 @@ pub fn checkpoint_interval_sweep_burst_with(
                 base_cfg.clone(),
                 rec.checkpoint_files().to_vec(),
             ));
-            let r = run_with_recovery_backend(&rec, crashes, &tier, SimOptions::default())
+            let r = run_with_recovery(&rec, crashes, tier, SimOptions::default())
                 .unwrap_or_else(|e| panic!("burst interval={snapped}: {e}"));
             SweepPoint {
                 label: format!("every {snapped} steps"),
@@ -518,7 +518,7 @@ pub fn checkpoint_interval_sweep_burst_crash_with(
                 BurstBufferConfig::absorbing(base_cfg.clone(), rec.checkpoint_files().to_vec());
             burst.faults = burst_faults.clone();
             let tier = BackendConfig::Burst(burst);
-            let r = run_with_recovery_backend(&rec, crashes, &tier, SimOptions::default())
+            let r = run_with_recovery(&rec, crashes, tier, SimOptions::default())
                 .unwrap_or_else(|e| panic!("burst-crash interval={snapped}: {e}"));
             SweepPoint {
                 label: format!("every {snapped} steps"),

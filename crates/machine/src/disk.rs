@@ -157,23 +157,6 @@ impl DiskModel {
         slowed + disturbance.latent_penalty
     }
 
-    /// Total service demand for a batch of same-array requests issued
-    /// back-to-back: the exact sum of the individual
-    /// [`DiskModel::service_time`] values. `Time` is integer
-    /// nanoseconds, so the sum is associative — a batch accumulated
-    /// this way can be reserved on a resource calendar in one
-    /// `reserve_n` call without moving any request's finish time by a
-    /// single nanosecond.
-    pub fn service_time_batch<I>(&self, requests: I) -> Time
-    where
-        I: IntoIterator<Item = (u64, bool)>,
-    {
-        requests
-            .into_iter()
-            .map(|(bytes, sequential)| self.service_time(bytes, sequential))
-            .sum()
-    }
-
     /// Effective bandwidth (bytes/s) delivered for back-to-back random
     /// requests of the given size — useful for calibration checks.
     pub fn effective_bandwidth(&self, bytes: u64) -> f64 {
@@ -267,15 +250,6 @@ mod tests {
             m.service_time_disturbed(65536, false, &degraded),
             m.service_time_in(65536, false, true)
         );
-    }
-
-    #[test]
-    fn batch_service_is_the_exact_sum_of_singles() {
-        let m = model();
-        let reqs = [(65536u64, false), (65536, true), (512, false), (0, true)];
-        let singles: Time = reqs.iter().map(|&(b, s)| m.service_time(b, s)).sum();
-        assert_eq!(m.service_time_batch(reqs), singles);
-        assert_eq!(m.service_time_batch(std::iter::empty()), Time::ZERO);
     }
 
     #[test]

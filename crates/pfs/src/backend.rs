@@ -261,6 +261,12 @@ impl BackendConfig {
     }
 }
 
+impl From<PfsConfig> for BackendConfig {
+    fn from(cfg: PfsConfig) -> Self {
+        BackendConfig::Pfs(cfg)
+    }
+}
+
 impl StorageBackend for Pfs {
     fn kind(&self) -> BackendKind {
         BackendKind::Pfs

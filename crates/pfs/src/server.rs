@@ -118,9 +118,6 @@ pub struct Pfs {
     /// Per-rendezvous-round context: each member's request size.
     pending_sizes: DetHashMap<u64, Vec<(Pid, u64)>>,
     clients: DetHashMap<(Pid, FileId), ClientFileState>,
-    /// Reused per-I/O-node `(total service, request count)` scratch for
-    /// the batched transfer path — cleared on entry, never reallocated.
-    transfer_scratch: Vec<(Time, u64)>,
     /// Compiled fault state; `None` iff the schedule does not engage,
     /// which is the guarantee that fault-free runs skip every hook.
     faults: Option<FaultState>,
@@ -151,7 +148,6 @@ impl Pfs {
             rdv: RendezvousTable::new(),
             pending_sizes: DetHashMap::default(),
             clients: DetHashMap::default(),
-            transfer_scratch: vec![(Time::ZERO, 0); n_ions],
             faults,
             res_stats: ResilienceStats::default(),
             cfg,
@@ -300,12 +296,12 @@ impl Pfs {
                 group,
                 mode,
                 record_size,
-            } => self.do_gopen(now, pid, fid, *group, *mode, *record_size, out),
+            } => self.do_gopen(now, pid, fid, (*group, *mode, *record_size), out),
             IoOp::SetIoMode {
                 group,
                 mode,
                 record_size,
-            } => self.do_setiomode(now, pid, fid, *group, *mode, *record_size, out),
+            } => self.do_setiomode(now, pid, fid, (*group, *mode, *record_size), out),
             IoOp::Read { size } => self.do_data(now, pid, fid, *size, false, out),
             IoOp::Write { size } => self.do_data(now, pid, fid, *size, true, out),
             IoOp::Seek { offset } => self.do_seek(now, pid, fid, *offset, out),
@@ -354,9 +350,7 @@ impl Pfs {
         now: Time,
         pid: Pid,
         fid: FileId,
-        group: u32,
-        mode: IoMode,
-        record_size: Option<u64>,
+        (group, mode, record_size): (u32, IoMode, Option<u64>),
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
         if !mode.available_in(self.cfg.os) {
@@ -412,9 +406,7 @@ impl Pfs {
         now: Time,
         pid: Pid,
         fid: FileId,
-        group: u32,
-        mode: IoMode,
-        record_size: Option<u64>,
+        (group, mode, record_size): (u32, IoMode, Option<u64>),
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
         if !mode.available_in(self.cfg.os) {
@@ -635,7 +627,7 @@ impl Pfs {
             }
             IoMode::MLog => self.log_data(now, pid, fid, size, write, out),
             IoMode::MRecord | IoMode::MGlobal | IoMode::MSync => {
-                self.collective_data(now, pid, fid, size, write, mode, out)
+                self.collective_data(now, pid, fid, size, write, out)
             }
         }
     }
@@ -1109,9 +1101,6 @@ impl Pfs {
         if len == 0 {
             return start;
         }
-        if self.faults.is_none() {
-            return self.transfer_batched(start, fid, offset, len, write);
-        }
         let layout = self.files[fid.index()].layout;
         let costs = self.cfg.costs;
         let mut end = start;
@@ -1156,59 +1145,6 @@ impl Pfs {
             let res = self.ions.reserve(ion, seg_start, service);
             self.ion_last[ion] = Some((fid, seg.offset + seg.len));
             end = end.max(res.finish);
-        }
-        end
-    }
-
-    /// Fault-free transfer fast path: walk the segments once computing
-    /// each per-segment service exactly as the general path does (same
-    /// cache probes, same sequential detection, in the same order),
-    /// accumulate per-I/O-node `(total service, count)`, then issue a
-    /// single batched calendar reservation per touched node.
-    ///
-    /// Bit-identical to the general path with no faults engaged: every
-    /// segment there starts at `start` with factor 1, so per node the
-    /// reservations chain back-to-back from `max(start, free_at)` —
-    /// exactly what [`Calendar::reserve_n`] computes — and the maximum
-    /// finish over segments equals the maximum over per-node batch
-    /// finishes because each node's last segment finishes latest.
-    fn transfer_batched(
-        &mut self,
-        start: Time,
-        fid: FileId,
-        offset: u64,
-        len: u64,
-        write: bool,
-    ) -> Time {
-        let layout = self.files[fid.index()].layout;
-        let costs = self.cfg.costs;
-        self.transfer_scratch.clear();
-        self.transfer_scratch
-            .resize(self.ions.len(), (Time::ZERO, 0));
-        for seg in layout.segments_iter(offset, len) {
-            let ion = seg.ion as usize;
-            let block = seg.offset / layout.unit;
-            let cache_hit = !write && self.ion_caches[ion].probe(fid, block);
-            let service = if write {
-                costs.ion_write_overhead + Time::from_secs_f64(seg.len as f64 / costs.ion_write_bw)
-            } else if cache_hit {
-                costs.ion_cache_overhead + Time::from_secs_f64(seg.len as f64 / costs.ion_cache_bw)
-            } else {
-                let sequential = self.ion_last[ion] == Some((fid, seg.offset));
-                self.disk.service_time(seg.len, sequential)
-            };
-            self.ion_caches[ion].insert(fid, block);
-            self.transfer_scratch[ion].0 += service;
-            self.transfer_scratch[ion].1 += 1;
-            self.ion_last[ion] = Some((fid, seg.offset + seg.len));
-        }
-        let mut end = start;
-        for ion in 0..self.transfer_scratch.len() {
-            let (total, n) = self.transfer_scratch[ion];
-            if n > 0 {
-                let res = self.ions.reserve_n(ion, start, total, n);
-                end = end.max(res.finish);
-            }
         }
         end
     }
@@ -1302,9 +1238,9 @@ impl Pfs {
         fid: FileId,
         size: u64,
         write: bool,
-        mode: IoMode,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
+        let mode = self.files[fid.index()].mode;
         // Validate before joining the group.
         if mode == IoMode::MRecord {
             let expected = self.files[fid.index()].record_size.unwrap_or(0);
@@ -2275,11 +2211,10 @@ mod tests {
         (t, p)
     }
 
-    /// Doubles as the batched-transfer equivalence check: the engaged
-    /// (but empty) schedule takes the general per-segment transfer
-    /// path while the plain run takes the per-ion `reserve_n` fast
-    /// path, and every observable — completion times, disk busy time,
-    /// cache hit counts — must still agree exactly.
+    /// An engaged (but empty) schedule compiles the fault state, so
+    /// every fault hook is consulted; every observable — completion
+    /// times, disk busy time, cache hit counts — must still agree
+    /// exactly with the run that never builds the state.
     #[test]
     fn engaged_empty_schedule_is_bit_identical() {
         let (plain, p1) = read_mb(PfsConfig::tiny());

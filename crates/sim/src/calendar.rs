@@ -70,27 +70,6 @@ impl Calendar {
         Reservation { start, finish }
     }
 
-    /// Reserve `n` back-to-back requests arriving together at
-    /// `arrival` with `total_service` aggregate demand, in one
-    /// `free_at` advance.
-    ///
-    /// Because `Time` is integer nanoseconds and addition is
-    /// associative, this is *bit-identical* to `n` sequential
-    /// [`Calendar::reserve`] calls at the same arrival whose service
-    /// demands sum to `total_service`: the first starts at
-    /// `max(arrival, free_at)`, each subsequent one starts exactly at
-    /// its predecessor's finish, and `busy`/`served` advance by the
-    /// same totals. The returned reservation spans the whole batch
-    /// (start of the first through finish of the last).
-    pub fn reserve_n(&mut self, arrival: Time, total_service: Time, n: u64) -> Reservation {
-        let start = arrival.max(self.free_at);
-        let finish = start + total_service;
-        self.free_at = finish;
-        self.busy += total_service;
-        self.served += n;
-        Reservation { start, finish }
-    }
-
     /// Earliest instant a new arrival would begin service.
     pub fn free_at(&self) -> Time {
         self.free_at
@@ -146,21 +125,6 @@ impl CalendarPool {
     /// Panics if `idx` is out of range.
     pub fn reserve(&mut self, idx: usize, arrival: Time, service: Time) -> Reservation {
         self.members[idx].reserve(arrival, service)
-    }
-
-    /// Reserve `n` back-to-back requests on member `idx` (see
-    /// [`Calendar::reserve_n`]).
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn reserve_n(
-        &mut self,
-        idx: usize,
-        arrival: Time,
-        total_service: Time,
-        n: u64,
-    ) -> Reservation {
-        self.members[idx].reserve_n(arrival, total_service, n)
     }
 
     /// Immutable view of a member.
@@ -221,45 +185,6 @@ mod tests {
         assert_eq!(c.busy_time(), Time::from_secs(2));
         assert_eq!(c.served(), 2);
         assert!((c.utilization(Time::from_secs(11)) - 2.0 / 11.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reserve_n_is_bit_identical_to_sequential_reserves() {
-        // Same arrivals, same per-request demands: the batched form
-        // must leave the calendar in exactly the state the sequential
-        // form does and span the same interval.
-        let demands = [
-            Time::from_millis(3),
-            Time::from_millis(7),
-            Time::from_nanos(1),
-            Time::ZERO,
-        ];
-        let arrival = Time::from_secs(2);
-        let mut sequential = Calendar::new();
-        sequential.reserve(Time::ZERO, Time::from_secs(3)); // pre-existing backlog
-        let mut batched = sequential.clone();
-        let first = sequential.reserve(arrival, demands[0]);
-        let mut last = first;
-        for &d in &demands[1..] {
-            last = sequential.reserve(arrival, d);
-        }
-        let total: Time = demands.iter().copied().sum();
-        let batch = batched.reserve_n(arrival, total, demands.len() as u64);
-        assert_eq!(batch.start, first.start);
-        assert_eq!(batch.finish, last.finish);
-        assert_eq!(batched.free_at(), sequential.free_at());
-        assert_eq!(batched.busy_time(), sequential.busy_time());
-        assert_eq!(batched.served(), sequential.served());
-    }
-
-    #[test]
-    fn reserve_n_on_pool_member() {
-        let mut p = CalendarPool::new(2);
-        let r = p.reserve_n(1, Time::from_secs(1), Time::from_secs(4), 3);
-        assert_eq!(r.start, Time::from_secs(1));
-        assert_eq!(r.finish, Time::from_secs(5));
-        assert_eq!(p.total_served(), 3);
-        assert_eq!(p.get(0).unwrap().served(), 0);
     }
 
     #[test]

@@ -6,16 +6,14 @@
 //! regardless of how workload generators interleave their scheduling
 //! calls.
 //!
-//! Internally the queue is an *indexed* binary min-heap: the heap
-//! array holds only a packed `(time, seq)` key — a single `u128` whose
-//! ordering is exactly the lexicographic `(time, seq)` order — plus a
-//! slot index into a payload arena. Sift operations therefore compare
-//! one integer and move 24 bytes regardless of the payload type, and
-//! payloads themselves never move until they are popped. Freed arena
-//! slots are recycled through a free list, so a simulation's steady
-//! state allocates nothing per event.
+//! The queue is a `std::collections::BinaryHeap` whose entries order
+//! by `(time, seq)` reversed, turning the standard max-heap into the
+//! min-heap the clock needs. Sequence numbers are unique per queue,
+//! so the order is total and never compares payloads.
 
 use crate::time::Time;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An event drawn from the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,30 +26,33 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-/// One heap node: the packed sort key and the arena slot of the
-/// payload.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    /// `(time << 64) | seq`: `u128` comparison *is* the `(time, seq)`
-    /// lexicographic order, because both halves are unsigned and seq
-    /// occupies the low bits.
-    key: u128,
-    slot: u32,
+/// A heap entry: greatest means earliest `(time, seq)`.
+struct Entry<E>(ScheduledEvent<E>);
+
+impl<E> Entry<E> {
+    fn key(&self) -> (Time, u64) {
+        (self.0.time, self.0.seq)
+    }
 }
 
-#[inline]
-fn pack(time: Time, seq: u64) -> u128 {
-    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
 }
 
-#[inline]
-fn unpack_time(key: u128) -> Time {
-    Time::from_nanos((key >> 64) as u64)
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-#[inline]
-fn unpack_seq(key: u128) -> u64 {
-    key as u64
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// A deterministic min-priority queue of timestamped events.
@@ -72,9 +73,7 @@ fn unpack_seq(key: u128) -> u64 {
 /// builds the event is clamped to `now` so a slightly-stale cost model
 /// cannot corrupt causality.
 pub struct EventQueue<E> {
-    heap: Vec<HeapEntry>,
-    arena: Vec<Option<E>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: Time,
     popped: u64,
@@ -90,9 +89,7 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
-            arena: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: Time::ZERO,
             popped: 0,
@@ -134,22 +131,7 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.arena[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                assert!(self.arena.len() < u32::MAX as usize, "event arena overflow");
-                self.arena.push(Some(payload));
-                (self.arena.len() - 1) as u32
-            }
-        };
-        self.heap.push(HeapEntry {
-            key: pack(time, seq),
-            slot,
-        });
-        self.sift_up(self.heap.len() - 1);
+        self.heap.push(Entry(ScheduledEvent { time, seq, payload }));
         seq
     }
 
@@ -161,62 +143,16 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to it.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let root = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let time = unpack_time(root.key);
-        debug_assert!(time >= self.now, "event queue went backwards");
-        self.now = time;
+        let Entry(ev) = self.heap.pop()?;
+        debug_assert!(ev.time >= self.now, "event queue went backwards");
+        self.now = ev.time;
         self.popped += 1;
-        let payload = self.arena[root.slot as usize]
-            .take()
-            .expect("heap entry points at an occupied slot");
-        self.free.push(root.slot);
-        Some(ScheduledEvent {
-            time,
-            seq: unpack_seq(root.key),
-            payload,
-        })
+        Some(ev)
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|e| unpack_time(e.key))
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key >= self.heap[parent].key {
-                break;
-            }
-            self.heap.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let mut smallest = left;
-            if right < n && self.heap[right].key < self.heap[left].key {
-                smallest = right;
-            }
-            if self.heap[smallest].key >= self.heap[i].key {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+        self.heap.peek().map(|e| e.0.time)
     }
 }
 
@@ -276,23 +212,6 @@ mod tests {
         assert_eq!(q.now(), Time::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn arena_slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..10u64 {
-            for i in 0..8u64 {
-                q.schedule(Time::from_secs(round * 10 + i), i);
-            }
-            for _ in 0..8 {
-                q.pop().unwrap();
-            }
-        }
-        // Steady-state churn reuses the original eight slots instead
-        // of growing the arena.
-        assert!(q.arena.len() <= 8, "arena grew to {}", q.arena.len());
-        assert_eq!(q.popped(), 80);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`Time`] — a nanosecond-resolution simulated clock value,
 //! * [`EventQueue`] — a deterministic priority queue of timestamped
-//!   events with stable FIFO tie-breaking,
+//!   events over `std`'s binary heap, with stable FIFO tie-breaking,
 //! * [`Calendar`] / [`CalendarPool`] — analytic resource calendars used
 //!   to model serialized devices (disk arms, file-atomicity tokens,
 //!   metadata servers) without explicit blocking,

@@ -1,25 +1,24 @@
 //! Differential backend suite: the StorageBackend refactor must be
 //! invisible wherever it claims to be.
 //!
-//! Three oracles, in increasing strictness:
+//! Two oracles:
 //!
 //! 1. `tests/golden/backend_baseline.txt` holds run fingerprints
-//!    generated from the tree *before* the trait seam existed. The
-//!    post-refactor [`sioscope::run`] must reproduce them bit for bit
-//!    (regenerate with `UPDATE_BACKEND_BASELINE=1` — only ever from a
-//!    pre-refactor checkout).
-//! 2. The dyn-dispatched [`sioscope::run_backend`] over a
-//!    [`BackendConfig::Pfs`] tier must match the monomorphized direct
-//!    path exactly, faults included.
-//! 3. A burst buffer absorbing *nothing* is pure passthrough and must
-//!    also match, as must backend-routed recovery over the PFS tier.
+//!    generated from the tree *before* the trait seam existed.
+//!    [`sioscope::run`] on the PFS tier must reproduce them bit for
+//!    bit, faults included (regenerate with
+//!    `UPDATE_BACKEND_BASELINE=1` — only ever from a pre-refactor
+//!    checkout).
+//! 2. A burst buffer absorbing *nothing* is pure passthrough: its runs
+//!    must match the same fingerprints, and recovery through it must
+//!    match recovery on the PFS tier.
 //!
 //! The suite closes with the issue's acceptance shape: the burst-tier
 //! checkpoint-interval sweep must beat the plain-PFS U-curve minimum.
 
 use sioscope::canon::WorkloadId;
 use sioscope::experiments::Scale;
-use sioscope::{run, run_backend, run_with_recovery, run_with_recovery_backend, SimOptions};
+use sioscope::{run, run_with_recovery, SimOptions};
 use sioscope_faults::FaultGen;
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
 use std::path::PathBuf;
@@ -129,28 +128,12 @@ fn trait_routed_pfs_matches_pre_refactor_baseline() {
 fn dyn_routed_pfs_and_passthrough_burst_match_the_direct_path() {
     for id in WorkloadId::all() {
         for &(fault_events, seed) in CASES {
-            let direct = baseline_run(id, fault_events, seed);
-            let want = fingerprint(&direct);
-
+            let want = fingerprint(&baseline_run(id, fault_events, seed));
             let (workload, cfg) = faulted_cfg(id, fault_events, seed);
-            let routed = run_backend(
-                &workload,
-                &BackendConfig::Pfs(cfg.clone()),
-                SimOptions::default(),
-            )
-            .expect("pfs-routed run");
-            assert_eq!(
-                fingerprint(&routed),
-                want,
-                "{} faults={fault_events}: dyn-dispatched PFS diverged",
-                id.id()
-            );
-            assert_eq!(routed.resilience, direct.resilience);
-
             // A burst buffer absorbing no files is pure passthrough.
-            let passthrough = run_backend(
+            let passthrough = run(
                 &workload,
-                &BackendConfig::Burst(BurstBufferConfig::absorbing(cfg, Vec::new())),
+                BackendConfig::Burst(BurstBufferConfig::absorbing(cfg, Vec::new())),
                 SimOptions::default(),
             )
             .expect("passthrough burst run");
@@ -187,13 +170,9 @@ fn backend_routed_recovery_matches_pfs_direct_on_caltech() {
         },
     );
     let direct = run_with_recovery(&rec, &crashes, pfs.clone(), SimOptions::default()).unwrap();
-    let routed = run_with_recovery_backend(
-        &rec,
-        &crashes,
-        &BackendConfig::Pfs(pfs),
-        SimOptions::default(),
-    )
-    .unwrap();
+    // A burst buffer absorbing no files is pure passthrough.
+    let passthrough = BackendConfig::Burst(BurstBufferConfig::absorbing(pfs, Vec::new()));
+    let routed = run_with_recovery(&rec, &crashes, passthrough, SimOptions::default()).unwrap();
     assert_eq!(direct.recovery, routed.recovery);
     assert_eq!(fingerprint(&direct), fingerprint(&routed));
 }
@@ -206,7 +185,7 @@ fn backend_routed_recovery_matches_pfs_direct_on_caltech() {
 #[test]
 fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty_log() {
     use sioscope_faults::{FaultKind, FaultSchedule};
-    use sioscope_pfs::{BurstBufferConfig, OpKind};
+    use sioscope_pfs::OpKind;
     use sioscope_sim::Time;
     use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion};
 
@@ -217,9 +196,9 @@ fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty
 
     // The fault-free marked run: commit instants and the write trace
     // both scenarios are derived from.
-    let marked = run_backend(
+    let marked = run(
         rec.workload(),
-        &BackendConfig::Burst(burst.clone()),
+        BackendConfig::Burst(burst.clone()),
         SimOptions::default(),
     )
     .expect("marked burst run");
@@ -278,9 +257,9 @@ fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty
     // the first attempt's physics (recovery reports the final, replay
     // attempt, whose clock no longer lines up with the crash instant).
     let first_attempt = |at: Time| {
-        run_backend(
+        run(
             rec.workload(),
-            &BackendConfig::Burst(crashed_burst(at)),
+            BackendConfig::Burst(crashed_burst(at)),
             SimOptions::default(),
         )
         .expect("faulted burst run")
@@ -298,10 +277,10 @@ fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty
     );
 
     let recover = |at: Time| {
-        run_with_recovery_backend(
+        run_with_recovery(
             &rec,
             &crashes,
-            &BackendConfig::Burst(crashed_burst(at)),
+            BackendConfig::Burst(crashed_burst(at)),
             SimOptions::default(),
         )
         .expect("recovery over the faulted burst tier")

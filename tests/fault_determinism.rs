@@ -15,7 +15,7 @@
 //! vocabulary replays exactly (resilience ledger and byte ledger
 //! included).
 
-use sioscope::simulator::{run, run_backend, RunResult, SimOptions};
+use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
 use sioscope_sim::prop::prelude::*;
@@ -119,15 +119,15 @@ fn tier_schedule(kind: BackendKind, seed: u64, events: usize, io_nodes: u32) -> 
 fn disengaged_and_engaged_empty_schedules_are_invisible_on_every_tier() {
     let w = EscatConfig::tiny(EscatVersion::B).build();
     for kind in BackendKind::all() {
-        let plain = run_backend(
+        let plain = run(
             &w,
-            &tier_cfg(kind, &w, FaultSchedule::empty()),
+            tier_cfg(kind, &w, FaultSchedule::empty()),
             SimOptions::default(),
         )
         .expect("plain tier run");
-        let engaged = run_backend(
+        let engaged = run(
             &w,
-            &tier_cfg(kind, &w, FaultSchedule::engaged_empty()),
+            tier_cfg(kind, &w, FaultSchedule::engaged_empty()),
             SimOptions::default(),
         )
         .expect("engaged-empty tier run");
@@ -177,9 +177,9 @@ proptest! {
         let io_nodes = PfsConfig::caltech(w.nodes, w.os).machine.io_nodes;
         for kind in BackendKind::all() {
             let faults = tier_schedule(kind, seed, events, io_nodes);
-            let a = run_backend(&w, &tier_cfg(kind, &w, faults.clone()), SimOptions::default())
+            let a = run(&w, tier_cfg(kind, &w, faults.clone()), SimOptions::default())
                 .expect("faulted tier run");
-            let b = run_backend(&w, &tier_cfg(kind, &w, faults), SimOptions::default())
+            let b = run(&w, tier_cfg(kind, &w, faults), SimOptions::default())
                 .expect("replayed tier run");
             assert_eq!(a.exec_time, b.exec_time, "{}", kind.id());
             assert_eq!(a.events, b.events);
