@@ -1,30 +1,24 @@
 //! # sioscope-bench
 //!
-//! Benchmark harness for the sioscope reproduction:
+//! Benchmark harness and command line of the sioscope reproduction:
 //!
-//! * the `repro` binary regenerates **every table and figure** of the
-//!   paper (run `cargo run -p sioscope-bench --bin repro --release`),
-//!   printing each artifact with its shape checks against the paper's
-//!   published values;
+//! * the `sioscope` binary regenerates **every table and figure** of
+//!   the paper (`cargo run -p sioscope-bench --release --bin sioscope
+//!   -- repro`), printing each artifact with its shape checks against
+//!   the paper's published values, and runs campaigns, the chaos soak,
+//!   trace characterization and bench-baseline collation;
 //! * the benches (`cargo bench`, timed by [`timing`]) time the
 //!   simulator on each experiment and on the PFS fast paths.
 
 pub mod timing;
 
-use sioscope::experiments::{Experiment, Scale};
-use sioscope::sweeps::SweepId;
+use sioscope_campaign::CliError;
 use sioscope_faults::{FaultKind, FaultSchedule, Tier};
 use sioscope_pfs::BackendKind;
 use sioscope_sim::Time;
 use sioscope_trace::json::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-// The CLI error/exit-code contract and the crash-safe artifact write
-// now live in `sioscope-campaign` (the campaign cache is built on
-// them); re-exported here so every existing `sioscope_bench::` import
-// keeps working.
-pub use sioscope_campaign::cliutil::{exit_with, run_cli, tmp_sibling, write_atomic, CliError};
 
 /// The fault-validation tier a storage backend interprets its
 /// schedules against (the burst tier's *inner* PFS schedule is
@@ -50,21 +44,6 @@ pub fn fault_mismatch_error(kind: BackendKind, problems: &[String]) -> CliError 
     ))
 }
 
-/// Every fault label any tier can express, for diagnostics.
-const ALL_FAULT_LABELS: [&str; 11] = [
-    "latent-sector",
-    "spindle-failure",
-    "ion-crash",
-    "ion-slowdown",
-    "link-congestion",
-    "compute-crash",
-    "md-shard-outage",
-    "degraded-service",
-    "drain-stall",
-    "burst-crash",
-    "consumer-crash",
-];
-
 /// Parse a `--faults` spec: a comma list of `label@frac` events, each
 /// placed at `frac`× the run horizon with canned parameters (windows
 /// span 20% of the horizon, slowdown factors are 2×). The spec is
@@ -74,6 +53,46 @@ const ALL_FAULT_LABELS: [&str; 11] = [
 /// being rejected ad hoc at parse time.
 pub fn parse_fault_spec(spec: &str, horizon: Time) -> Result<FaultSchedule, CliError> {
     let window = horizon.scale(0.2).max(Time::from_millis(1));
+    // One canned event per fault class, in the order errors list them.
+    let canned = [
+        FaultKind::LatentSector {
+            ion: 0,
+            duration: window,
+            penalty: Time::from_millis(5),
+        },
+        FaultKind::SpindleFailure {
+            ion: 0,
+            rebuild: Some(window),
+        },
+        FaultKind::IonCrash {
+            ion: 0,
+            restart: window,
+        },
+        FaultKind::IonSlowdown {
+            ion: 0,
+            duration: window,
+            factor: 2.0,
+        },
+        FaultKind::LinkCongestion {
+            duration: window,
+            factor: 2.0,
+        },
+        FaultKind::ComputeNodeCrash {
+            node: 0,
+            rework: window,
+        },
+        FaultKind::MetadataShardOutage {
+            shard: 0,
+            duration: window,
+        },
+        FaultKind::DegradedService {
+            duration: window,
+            factor: 2.0,
+        },
+        FaultKind::DrainStall { duration: window },
+        FaultKind::BurstNodeCrash { repair: window },
+        FaultKind::ConsumerCrash { stall: window },
+    ];
     let mut schedule = FaultSchedule::empty();
     for part in spec.split(',').filter(|p| !p.is_empty()) {
         let (label, frac) = match part.split_once('@') {
@@ -90,52 +109,14 @@ pub fn parse_fault_spec(spec: &str, horizon: Time) -> Result<FaultSchedule, CliE
             }
             None => (part, 0.5),
         };
-        let kind = match label {
-            "latent-sector" => FaultKind::LatentSector {
-                ion: 0,
-                duration: window,
-                penalty: Time::from_millis(5),
-            },
-            "spindle-failure" => FaultKind::SpindleFailure {
-                ion: 0,
-                rebuild: Some(window),
-            },
-            "ion-crash" => FaultKind::IonCrash {
-                ion: 0,
-                restart: window,
-            },
-            "ion-slowdown" => FaultKind::IonSlowdown {
-                ion: 0,
-                duration: window,
-                factor: 2.0,
-            },
-            "link-congestion" => FaultKind::LinkCongestion {
-                duration: window,
-                factor: 2.0,
-            },
-            "compute-crash" => FaultKind::ComputeNodeCrash {
-                node: 0,
-                rework: window,
-            },
-            "md-shard-outage" => FaultKind::MetadataShardOutage {
-                shard: 0,
-                duration: window,
-            },
-            "degraded-service" => FaultKind::DegradedService {
-                duration: window,
-                factor: 2.0,
-            },
-            "drain-stall" => FaultKind::DrainStall { duration: window },
-            "burst-crash" => FaultKind::BurstNodeCrash { repair: window },
-            "consumer-crash" => FaultKind::ConsumerCrash { stall: window },
-            other => {
-                return Err(CliError::BadArgs(format!(
-                    "unknown fault label `{other}`; known labels: {}",
-                    ALL_FAULT_LABELS.join(", ")
-                )))
-            }
+        let Some(kind) = canned.iter().find(|k| k.label() == label) else {
+            let known: Vec<&str> = canned.iter().map(FaultKind::label).collect();
+            return Err(CliError::BadArgs(format!(
+                "unknown fault label `{label}`; known labels: {}",
+                known.join(", ")
+            )));
         };
-        schedule.push(horizon.scale(frac), kind);
+        schedule.push(horizon.scale(frac), kind.clone());
     }
     Ok(schedule)
 }
@@ -144,7 +125,7 @@ pub fn parse_fault_spec(spec: &str, horizon: Time) -> Result<FaultSchedule, CliE
 /// be a readable, non-empty file, and a `.json` artifact must actually
 /// parse — a file that exists but holds truncated or corrupt JSON is
 /// regenerated, not skipped. (Artifacts written through
-/// [`write_atomic`] are never truncated by a crash, but artifacts from
+/// [`sioscope_campaign::write_atomic`] are never truncated by a crash, but artifacts from
 /// older runs, other tools, or interrupted copies can be.)
 pub fn artifact_resumable(path: &Path) -> bool {
     let Ok(contents) = std::fs::read_to_string(path) else {
@@ -159,121 +140,36 @@ pub fn artifact_resumable(path: &Path) -> bool {
     true
 }
 
-/// Resolve the scale requested via the `SIOSCOPE_SCALE` environment
-/// variable (`full` default, `smoke` for quick runs).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("SIOSCOPE_SCALE").as_deref() {
-        Ok("smoke") | Ok("SMOKE") => Scale::Smoke,
-        _ => Scale::Full,
-    }
-}
-
-/// Parse experiment filters from CLI arguments; empty = all.
+/// Parse a comma- or space-separated list of `what` ids into the
+/// values they name, in the order given (repeats kept; empty input
+/// selects nothing). `all` is the registry and `id` its stable id.
 ///
-/// Unknown identifiers are an error, not a no-op: `Err` carries every
-/// unrecognized ID so the caller can report all of them at once.
-pub fn try_experiments_from_args(args: &[String]) -> Result<Vec<Experiment>, Vec<String>> {
-    let filters: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
-    if filters.is_empty() {
-        return Ok(Experiment::all());
-    }
+/// Unknown ids are a usage error (exit 2), not a no-op: the error
+/// names every unknown id at once and lists the valid set, so a typo
+/// cannot silently shrink a run.
+pub fn parse_ids<T: Copy>(
+    what: &str,
+    ids: &str,
+    all: Vec<T>,
+    id: fn(T) -> &'static str,
+) -> Result<Vec<T>, CliError> {
     let mut selected = Vec::new();
     let mut unknown = Vec::new();
-    for f in filters {
-        match Experiment::from_id(f) {
-            Some(e) => selected.push(e),
-            None => unknown.push(f.clone()),
+    for name in ids.split([',', ' ']).filter(|s| !s.is_empty()) {
+        match all.iter().find(|&&t| id(t) == name) {
+            Some(&t) => selected.push(t),
+            None => unknown.push(name),
         }
     }
     if unknown.is_empty() {
-        Ok(selected)
-    } else {
-        Err(unknown)
+        return Ok(selected);
     }
-}
-
-/// Parse experiment filters from CLI arguments; empty = all.
-///
-/// Exits with status 2 after printing the unknown IDs and the valid
-/// set to stderr — a typo must not silently shrink the run to nothing.
-pub fn experiments_from_args(args: &[String]) -> Vec<Experiment> {
-    match try_experiments_from_args(args) {
-        Ok(experiments) => experiments,
-        Err(unknown) => {
-            for id in &unknown {
-                eprintln!("error: unknown experiment id `{id}`");
-            }
-            eprintln!("valid experiment ids:");
-            for e in Experiment::all() {
-                eprintln!("  {}", e.id());
-            }
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse the `--sweeps[=id,id,...]` flag.
-///
-/// * No flag → `Ok(None)` (no sweeps requested).
-/// * Bare `--sweeps` → every sweep.
-/// * `--sweeps=a,b` → exactly those, in registry order.
-///
-/// Unknown ids are an error, not a no-op — `Err` carries every
-/// unrecognized id so a typo cannot silently shrink the sweep set
-/// (the bug this replaces: `--sweeps` ignored its argument entirely).
-pub fn try_sweeps_from_args(args: &[String]) -> Result<Option<Vec<SweepId>>, Vec<String>> {
-    let mut requested: Option<Vec<&str>> = None;
-    for a in args {
-        if a == "--sweeps" {
-            requested.get_or_insert_with(Vec::new);
-        } else if let Some(list) = a.strip_prefix("--sweeps=") {
-            requested
-                .get_or_insert_with(Vec::new)
-                .extend(list.split(',').filter(|s| !s.is_empty()));
-        }
-    }
-    let Some(filters) = requested else {
-        return Ok(None);
-    };
-    if filters.is_empty() {
-        return Ok(Some(SweepId::all()));
-    }
-    let mut unknown: Vec<String> = Vec::new();
-    let mut wanted = Vec::new();
-    for f in &filters {
-        match SweepId::from_id(f) {
-            Some(s) => wanted.push(s),
-            None => unknown.push((*f).to_string()),
-        }
-    }
-    if !unknown.is_empty() {
-        return Err(unknown);
-    }
-    // Registry order, deduplicated.
-    Ok(Some(
-        SweepId::all()
-            .into_iter()
-            .filter(|s| wanted.contains(s))
-            .collect(),
-    ))
-}
-
-/// Parse the `--sweeps[=id,id,...]` flag; exits with status 2 after
-/// printing the unknown ids and the valid set to stderr.
-pub fn sweeps_from_args(args: &[String]) -> Option<Vec<SweepId>> {
-    match try_sweeps_from_args(args) {
-        Ok(selection) => selection,
-        Err(unknown) => {
-            for id in &unknown {
-                eprintln!("error: unknown sweep id `{id}`");
-            }
-            eprintln!("valid sweep ids:");
-            for s in SweepId::all() {
-                eprintln!("  {}", s.id());
-            }
-            std::process::exit(2);
-        }
-    }
+    let valid: Vec<&str> = all.into_iter().map(id).collect();
+    Err(CliError::BadArgs(format!(
+        "unknown {what} id(s): {}\nvalid {what} ids: {}",
+        unknown.join(", "),
+        valid.join(", ")
+    )))
 }
 
 /// Mean and median point estimates of one bench, in
@@ -396,6 +292,10 @@ pub fn baseline_speedup(old: &Json, new: &Json, bench: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sioscope::chaos::ChaosTier;
+    use sioscope::experiments::Experiment;
+    use sioscope::sweeps::SweepId;
+    use sioscope_campaign::{tmp_sibling, write_atomic};
 
     /// The value at `path` (a chain of object keys) inside `v`.
     fn at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a Json> {
@@ -404,47 +304,70 @@ mod tests {
 
     #[test]
     fn args_filtering() {
-        let all = try_experiments_from_args(&[]).unwrap();
-        assert_eq!(all.len(), Experiment::all().len());
-        let one = try_experiments_from_args(&["escat-table2".to_string()]).unwrap();
-        assert_eq!(one, vec![Experiment::EscatTable2]);
+        let none = parse_ids("experiment", "", Experiment::all(), Experiment::id).unwrap();
+        assert!(none.is_empty());
+        // Given order, repeats kept, commas and spaces alike.
+        let ids = "escat-table2 recovery-escat,escat-table2";
+        let got = parse_ids("experiment", ids, Experiment::all(), Experiment::id).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                Experiment::EscatTable2,
+                Experiment::RecoveryEscat,
+                Experiment::EscatTable2
+            ]
+        );
     }
 
     #[test]
     fn unknown_ids_are_an_error_listing_every_offender() {
-        let err = try_experiments_from_args(&[
-            "bogus".to_string(),
-            "escat-table2".to_string(),
-            "also-bogus".to_string(),
-        ])
-        .unwrap_err();
-        assert_eq!(err, vec!["bogus".to_string(), "also-bogus".to_string()]);
-    }
-
-    #[test]
-    fn flags_are_ignored_by_the_filter() {
-        let got = try_experiments_from_args(&["--sweeps".to_string()]).unwrap();
-        assert_eq!(got.len(), Experiment::all().len());
-    }
-
-    #[test]
-    fn sweeps_flag_absent_bare_and_selective() {
-        assert_eq!(try_sweeps_from_args(&[]).unwrap(), None);
-        assert_eq!(
-            try_sweeps_from_args(&["--sweeps".to_string()]).unwrap(),
-            Some(SweepId::all())
-        );
-        let got = try_sweeps_from_args(&["--sweeps=stripe_unit,io_nodes".to_string()]).unwrap();
-        // Selection is reported in registry order regardless of the
-        // order the ids were given in.
-        assert_eq!(got, Some(vec![SweepId::IoNodes, SweepId::StripeUnit]));
+        let ids = "bogus escat-table2 also-bogus";
+        let err = parse_ids("experiment", ids, Experiment::all(), Experiment::id).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.starts_with("unknown experiment id(s): bogus, also-bogus\n"));
+        assert!(msg.contains("valid experiment ids: escat-table1, "));
     }
 
     #[test]
     fn unknown_sweep_ids_are_an_error_listing_every_offender() {
-        let err =
-            try_sweeps_from_args(&["--sweeps=io_nodes,bogus,also-bogus".to_string()]).unwrap_err();
-        assert_eq!(err, vec!["bogus".to_string(), "also-bogus".to_string()]);
+        let err = parse_ids(
+            "sweep",
+            "io_nodes,bogus,also-bogus",
+            SweepId::all(),
+            SweepId::id,
+        )
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.starts_with("unknown sweep id(s): bogus, also-bogus\n"));
+        assert!(msg.contains("valid sweep ids: ") && msg.contains("staging_depth"));
+    }
+
+    #[test]
+    fn every_registry_id_round_trips_through_parse_ids() {
+        fn round_trip<T: Copy + PartialEq + std::fmt::Debug>(
+            what: &str,
+            all: Vec<T>,
+            id: fn(T) -> &'static str,
+        ) {
+            let joined: Vec<&str> = all.iter().map(|&t| id(t)).collect();
+            assert_eq!(
+                parse_ids(what, &joined.join(","), all.clone(), id).unwrap(),
+                all
+            );
+            for &t in &all {
+                assert_eq!(parse_ids(what, id(t), all.clone(), id).unwrap(), vec![t]);
+                // A near miss stays a usage error naming the bad id.
+                let near = format!("{}-x", id(t));
+                let err = parse_ids(what, &near, all.clone(), id).unwrap_err();
+                assert!(err.to_string().contains(&near), "{err}");
+            }
+        }
+        round_trip("experiment", Experiment::all(), Experiment::id);
+        round_trip("sweep", SweepId::all(), SweepId::id);
+        round_trip("tier", ChaosTier::all(), ChaosTier::id);
+        round_trip("backend", BackendKind::all(), BackendKind::id);
     }
 
     #[test]
@@ -528,6 +451,7 @@ mod tests {
             &BTreeMap::from([("full_registry_cold".to_string(), (6000.0, 5800.0))]),
         );
         assert_eq!(baseline_speedup(&v1, &new, "full_registry_cold"), Some(2.0));
+        assert!(BASELINE_GROUPS.contains(&"sched"));
     }
 
     #[test]
@@ -638,21 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_experiments_and_depth_sweep_are_selectable() {
-        let got =
-            try_experiments_from_args(&["stream-prism".to_string(), "stream-vs-file".to_string()])
-                .unwrap();
-        assert_eq!(got, vec![Experiment::StreamPrism, Experiment::StreamVsFile]);
-        let sweeps = try_sweeps_from_args(&["--sweeps=staging_depth".to_string()]).unwrap();
-        assert_eq!(sweeps, Some(vec![SweepId::StagingDepth]));
-        // Near-miss ids stay usage errors naming the unknown id.
-        let err = try_experiments_from_args(&["stream-vs-pfs".to_string()]).unwrap_err();
-        assert_eq!(err, vec!["stream-vs-pfs".to_string()]);
-        let err = try_sweeps_from_args(&["--sweeps=staging-depth".to_string()]).unwrap_err();
-        assert_eq!(err, vec!["staging-depth".to_string()]);
-    }
-
-    #[test]
     fn consumer_crash_parses_but_stays_stream_only() {
         use sioscope_pfs::mode::OsRelease;
         use sioscope_pfs::{BackendConfig, PfsConfig};
@@ -670,34 +579,5 @@ mod tests {
         let err = fault_mismatch_error(BackendKind::Pfs, &problems);
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("valid faults on pfs"));
-    }
-
-    #[test]
-    fn resilience_experiments_are_selectable() {
-        let got = try_experiments_from_args(&[
-            "resilience-escat".to_string(),
-            "resilience-prism".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(
-            got,
-            vec![Experiment::ResilienceEscat, Experiment::ResiliencePrism]
-        );
-    }
-
-    #[test]
-    fn scheduler_experiments_and_load_sweep_are_selectable() {
-        let got = try_experiments_from_args(&[
-            "contention-mix".to_string(),
-            "backfill-vs-fcfs".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(
-            got,
-            vec![Experiment::ContentionMix, Experiment::BackfillVsFcfs]
-        );
-        let sweeps = try_sweeps_from_args(&["--sweeps=load_factor".to_string()]).unwrap();
-        assert_eq!(sweeps, Some(vec![SweepId::LoadFactor]));
-        assert!(BASELINE_GROUPS.contains(&"sched"));
     }
 }

@@ -6,7 +6,7 @@
 //! times land in `target/criterion/<group>/<bench>/new/estimates.json`
 //! as `{"mean": {"point_estimate": ns}, "median": {...}}`, the layout
 //! [`collect_estimates`](crate::collect_estimates) and the
-//! `bench_baseline` binary read.
+//! `sioscope baseline` subcommand read.
 
 use sioscope_trace::json::Json;
 use std::path::PathBuf;

@@ -1,9 +1,9 @@
 //! The CLI error/exit-code contract and crash-safe artifact writes.
 //!
-//! Moved here from `sioscope-bench` (which re-exports these names
-//! unchanged) so the campaign cache can stage its entries through the
-//! same machinery the repro binary uses for artifacts, without a
-//! dependency cycle between the two crates.
+//! They live here, not in `sioscope-bench`, so the campaign cache can
+//! stage its entries through the same machinery the `sioscope` binary
+//! uses for artifacts, without a dependency cycle between the two
+//! crates.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -71,22 +71,22 @@ impl std::error::Error for CliError {
     }
 }
 
-/// Report `err` on stderr and exit with its code. The single exit
-/// point of the CLI binaries' error paths.
-pub fn exit_with(err: CliError) -> ! {
+/// Report `err` on stderr and exit with its code: the single exit
+/// point of [`run_cli`]'s error path.
+fn exit_with(err: CliError) -> ! {
     eprintln!("error: {err}");
     std::process::exit(err.exit_code());
 }
 
-/// The body of every CLI binary's `main`. Prints `usage` and exits 0
-/// on `-h`/`--help`; otherwise runs `real_main` on the arguments and
-/// maps its error through [`exit_with`].
+/// The body of the CLI's `main`: runs `real_main` on the arguments
+/// and maps its error to a one-line `error:` on stderr and the error's
+/// exit code.
 ///
-/// A reader that closes stdout early (`repro | head`) is a clean exit
-/// 0: `println!` reports the resulting `BrokenPipe` by panicking, and
-/// the panic hook installed here turns exactly that panic into an
-/// exit instead of the default exit-101 crash.
-pub fn run_cli(usage: &str, real_main: impl FnOnce(&[String]) -> Result<(), CliError>) {
+/// A reader that closes stdout early (`sioscope repro | head`) is a
+/// clean exit 0: `println!` reports the resulting `BrokenPipe` by
+/// panicking, and the panic hook installed here turns exactly that
+/// panic into an exit instead of the default exit-101 crash.
+pub fn run_cli(real_main: impl FnOnce(&[String]) -> Result<(), CliError>) {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let msg = info
@@ -99,10 +99,6 @@ pub fn run_cli(usage: &str, real_main: impl FnOnce(&[String]) -> Result<(), CliE
         default_hook(info);
     }));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{usage}");
-        return;
-    }
     if let Err(e) = real_main(&args) {
         exit_with(e);
     }

@@ -25,9 +25,8 @@ use crate::spec::{CampaignSpec, RunSpec};
 /// How to execute a campaign.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Requested worker count. Accepted for compatibility with
-    /// existing callers and scripts; runs execute in order on the
-    /// calling thread whatever its value.
+    /// Requested worker count, kept for library callers; runs
+    /// execute in order on the calling thread whatever its value.
     pub jobs: usize,
     /// Bypass the cache entirely: neither read nor write entries.
     pub no_cache: bool,

@@ -37,7 +37,7 @@
 //!   the cache and report;
 //! * [`cliutil`] — the CLI error/exit-code contract and the
 //!   crash-safe [`write_atomic`] staging rename, shared with the
-//!   `sioscope-bench` binaries.
+//!   `sioscope` binary in `sioscope-bench`.
 
 pub mod cache;
 pub mod cliutil;
@@ -50,7 +50,7 @@ pub mod report;
 pub mod spec;
 
 pub use cache::CacheEntry;
-pub use cliutil::{exit_with, run_cli, tmp_sibling, write_atomic, CliError};
+pub use cliutil::{run_cli, tmp_sibling, write_atomic, CliError};
 pub use confhash::config_hash;
 pub use exec::{run_campaign, ExecOptions};
 pub use report::{CampaignReport, RunReport};

@@ -165,6 +165,28 @@ fn micros(secs: f64) -> u64 {
     (secs.max(0.0) * 1_000_000.0).round() as u64
 }
 
+/// The canonical config of storage tier `kind` over `workload`, with
+/// `faults` installed on the tier itself: the Caltech PFS, the modern
+/// object store, or a burst buffer absorbing every file over the
+/// Caltech PFS.
+pub fn tier_config(kind: BackendKind, workload: &Workload, faults: FaultSchedule) -> BackendConfig {
+    let caltech = || PfsConfig::caltech(workload.nodes, workload.os);
+    match kind {
+        BackendKind::Pfs => BackendConfig::Pfs(PfsConfig {
+            faults,
+            ..caltech()
+        }),
+        BackendKind::Object => BackendConfig::Object(ObjectStoreConfig {
+            faults,
+            ..ObjectStoreConfig::modern(workload.nodes)
+        }),
+        BackendKind::Burst => BackendConfig::Burst(BurstBufferConfig {
+            faults,
+            ..BurstBufferConfig::over(caltech())
+        }),
+    }
+}
+
 /// Simulate one workload end-to-end on a named storage tier, with
 /// `fault_events` tier faults drawn from `seed`, and reduce the run to
 /// integer metrics.
@@ -193,12 +215,7 @@ pub fn workload_run(
     seed: u64,
 ) -> Result<BTreeMap<String, u64>, String> {
     let workload = id.build(scale);
-    let pfs = PfsConfig::caltech(workload.nodes, workload.os);
-    let mut cfg = match backend {
-        BackendKind::Pfs => BackendConfig::Pfs(pfs),
-        BackendKind::Object => BackendConfig::Object(ObjectStoreConfig::modern(workload.nodes)),
-        BackendKind::Burst => BackendConfig::Burst(BurstBufferConfig::over(pfs)),
-    };
+    let mut cfg = tier_config(backend, &workload, FaultSchedule::empty());
     if fault_events > 0 {
         let horizon = run(&workload, cfg.clone(), SimOptions::default())
             .map_err(|e| format!("{} fault-free baseline: {e}", id.id()))?

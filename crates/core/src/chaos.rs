@@ -29,13 +29,13 @@
 //! seed budget (the CI `chaos-smoke` job); the functions are public
 //! so soaks can also run in-process from tests.
 
-use crate::canon::WorkloadId;
+use crate::canon::{tier_config, WorkloadId};
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::Scale;
 use crate::recovery::run_with_recovery;
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
-use sioscope_pfs::{BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
+use sioscope_pfs::{BackendKind, PfsConfig};
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
 use sioscope_workloads::{
@@ -156,29 +156,6 @@ impl ChaosVerdict {
     }
 }
 
-/// The tier config the chaos harness runs: the canonical Caltech PFS,
-/// the modern object store, or the absorb-everything burst buffer,
-/// with `faults` installed on the tier itself.
-fn tier_cfg(kind: BackendKind, workload: &Workload, faults: FaultSchedule) -> BackendConfig {
-    match kind {
-        BackendKind::Pfs => {
-            let mut c = PfsConfig::caltech(workload.nodes, workload.os);
-            c.faults = faults;
-            BackendConfig::Pfs(c)
-        }
-        BackendKind::Object => {
-            let mut c = ObjectStoreConfig::modern(workload.nodes);
-            c.faults = faults;
-            BackendConfig::Object(c)
-        }
-        BackendKind::Burst => {
-            let mut c = BurstBufferConfig::over(PfsConfig::caltech(workload.nodes, workload.os));
-            c.faults = faults;
-            BackendConfig::Burst(c)
-        }
-    }
-}
-
 /// The seed's tier-appropriate fuzzed schedule over `horizon`.
 fn tier_schedule(
     kind: BackendKind,
@@ -220,7 +197,7 @@ pub fn chaos_case(
     let run_with = |faults: FaultSchedule| {
         run(
             &workload,
-            tier_cfg(tier, &workload, faults),
+            tier_config(tier, &workload, faults),
             SimOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{} on {}: {e}", id.id(), tier.id()))
@@ -289,7 +266,7 @@ pub fn chaos_case(
     let rec_base = run_with_recovery(
         &rec,
         &FaultSchedule::empty(),
-        tier_cfg(tier, rec.workload(), rec_faults.clone()),
+        tier_config(tier, rec.workload(), rec_faults.clone()),
         SimOptions::default(),
     )
     .expect("crash-free recovery run");
@@ -302,7 +279,7 @@ pub fn chaos_case(
     let rec_crashed = run_with_recovery(
         &rec,
         &crashes,
-        tier_cfg(tier, rec.workload(), rec_faults),
+        tier_config(tier, rec.workload(), rec_faults),
         SimOptions::default(),
     )
     .expect("crashed recovery run");
@@ -446,7 +423,7 @@ pub fn chaos_soak(
     seeds: u64,
     golden: Option<&BTreeMap<String, String>>,
 ) -> Vec<ChaosVerdict> {
-    let mut verdicts = Vec::with_capacity(tiers.len() * seeds as usize);
+    let mut verdicts = Vec::new();
     for &tier in tiers {
         for seed in start_seed..start_seed.saturating_add(seeds) {
             verdicts.push(match tier {

@@ -12,30 +12,22 @@
 //! which *invert* (striping parallelism becomes single-target
 //! serialization when a file maps wholly to one object).
 
+use crate::canon::tier_config;
 use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{
-    BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, OpKind, PfsConfig,
-};
+use sioscope_pfs::{BackendKind, OpKind};
 use sioscope_sim::Time;
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
 use std::fmt::Write as _;
 
-fn tier_config(kind: BackendKind, workload: &Workload) -> BackendConfig {
-    match kind {
-        BackendKind::Pfs => BackendConfig::Pfs(PfsConfig::caltech(workload.nodes, workload.os)),
-        BackendKind::Object => BackendConfig::Object(ObjectStoreConfig::modern(workload.nodes)),
-        BackendKind::Burst => BackendConfig::Burst(BurstBufferConfig::over(PfsConfig::caltech(
-            workload.nodes,
-            workload.os,
-        ))),
-    }
-}
-
 fn run_tier(kind: BackendKind, workload: &Workload) -> RunResult {
-    run(workload, tier_config(kind, workload), SimOptions::default())
-        .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
+    run(
+        workload,
+        tier_config(kind, workload, FaultSchedule::empty()),
+        SimOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
 }
 
 fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> ExperimentOutput {
@@ -180,23 +172,24 @@ pub fn prism(scale: Scale) -> ExperimentOutput {
 /// the comparison, and assert the invariants every faulted tier must
 /// hold (hook bit-neutrality, replay determinism, never-faster).
 /// Tier-specific checks are appended by the caller.
-#[allow(clippy::type_complexity)]
 fn faulted_tier(
     experiment: Experiment,
     title: &str,
     workload: &Workload,
     clean: RunResult,
-    build: &dyn Fn(FaultSchedule) -> BackendConfig,
+    kind: BackendKind,
     faults: FaultSchedule,
 ) -> (ExperimentOutput, RunResult) {
-    let engaged = run(
-        workload,
-        build(FaultSchedule::engaged_empty()),
-        SimOptions::default(),
-    )
-    .expect("engaged-empty run");
-    let faulted = run(workload, build(faults.clone()), SimOptions::default()).expect("faulted run");
-    let replay = run(workload, build(faults), SimOptions::default()).expect("faulted replay");
+    let run_with = |faults| {
+        run(
+            workload,
+            tier_config(kind, workload, faults),
+            SimOptions::default(),
+        )
+    };
+    let engaged = run_with(FaultSchedule::engaged_empty()).expect("engaged-empty run");
+    let faulted = run_with(faults.clone()).expect("faulted run");
+    let replay = run_with(faults).expect("faulted replay");
 
     let mut rendered = String::new();
     let _ = writeln!(rendered, "{title}");
@@ -269,17 +262,7 @@ pub fn faulty_object(scale: Scale) -> ExperimentOutput {
         Scale::Smoke => EscatConfig::tiny(EscatVersion::B).build(),
         Scale::Full => EscatConfig::ethylene(EscatVersion::B).build(),
     };
-    let build = |faults: FaultSchedule| {
-        let mut obj = ObjectStoreConfig::modern(workload.nodes);
-        obj.faults = faults;
-        BackendConfig::Object(obj)
-    };
-    let clean = run(
-        &workload,
-        build(FaultSchedule::empty()),
-        SimOptions::default(),
-    )
-    .expect("fault-free object run");
+    let clean = run_tier(BackendKind::Object, &workload);
     let horizon = clean.exec_time;
 
     // Shard 0 dark for the entire run (and past its end, so the
@@ -307,7 +290,7 @@ pub fn faulty_object(scale: Scale) -> ExperimentOutput {
         "Object tier failover: shard-0 outage + degraded-service window",
         &workload,
         clean,
-        &build,
+        BackendKind::Object,
         faults,
     );
     let rz = faulted.resilience;
@@ -348,17 +331,7 @@ pub fn faulty_burst(scale: Scale) -> ExperimentOutput {
         Scale::Smoke => PrismConfig::tiny(PrismVersion::C).build(),
         Scale::Full => PrismConfig::test_problem(PrismVersion::C).build(),
     };
-    let build = |faults: FaultSchedule| {
-        let mut burst = BurstBufferConfig::over(PfsConfig::caltech(workload.nodes, workload.os));
-        burst.faults = faults;
-        BackendConfig::Burst(burst)
-    };
-    let clean = run(
-        &workload,
-        build(FaultSchedule::empty()),
-        SimOptions::default(),
-    )
-    .expect("fault-free burst run");
+    let clean = run_tier(BackendKind::Burst, &workload);
     let horizon = clean.exec_time;
 
     // Crash exactly when the largest write retires from the log: its
@@ -393,7 +366,7 @@ pub fn faulty_burst(scale: Scale) -> ExperimentOutput {
         "Burst tier failover: drain stall + burst-node crash at peak residency",
         &workload,
         clean,
-        &build,
+        BackendKind::Burst,
         faults,
     );
     let s = faulted.backend_stats;

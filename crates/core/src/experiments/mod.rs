@@ -239,6 +239,17 @@ pub enum Scale {
     Smoke,
 }
 
+impl Scale {
+    /// The scale the `SIOSCOPE_SCALE` environment variable requests:
+    /// `smoke` (or `SMOKE`) for quick runs, full scale otherwise.
+    pub fn from_env() -> Scale {
+        match std::env::var("SIOSCOPE_SCALE").as_deref() {
+            Ok("smoke") | Ok("SMOKE") => Scale::Smoke,
+            _ => Scale::Full,
+        }
+    }
+}
+
 /// A completed experiment: the rendered artifact plus the shape checks
 /// comparing it against the paper.
 #[derive(Debug, Clone)]

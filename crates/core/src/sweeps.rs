@@ -667,7 +667,7 @@ pub fn staging_depth_sweep(cadence: &StreamCadence, depths_kib: &[u32], speeds: 
 }
 
 /// Run one registered sweep at the given scale with its canonical
-/// parameter grid — the single entry point the `repro` binary and the
+/// parameter grid — the single entry point `sioscope repro` and the
 /// campaign engine share, so "the `io_nodes` sweep" means the same
 /// runs everywhere.
 pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {

@@ -7,11 +7,12 @@
 //! cargo run --release --example config_sweep
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::sweeps::{disk_bandwidth_sweep, io_node_sweep, stripe_sweep};
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 
 fn main() {
-    let full = !matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let full = Scale::from_env() == Scale::Full;
 
     let escat = if full {
         EscatConfig::ethylene(EscatVersion::B).build()

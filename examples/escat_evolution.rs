@@ -12,10 +12,7 @@ use sioscope_analysis::Evolution;
 use sioscope_workloads::{EscatDataset, EscatVersion};
 
 fn main() {
-    let scale = match std::env::var("SIOSCOPE_SCALE").as_deref() {
-        Ok("smoke") => Scale::Smoke,
-        _ => Scale::Full,
-    };
+    let scale = Scale::from_env();
     let mut failures = 0;
     for e in [
         Experiment::EscatTable1,

@@ -18,8 +18,8 @@ use sioscope::sweeps::fault_intensity_sweep;
 use sioscope_workloads::{PrismConfig, PrismVersion};
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
+    let scale = Scale::from_env();
+    let smoke = scale == Scale::Smoke;
 
     println!("== One run per fault class ==\n");
     for e in [Experiment::ResilienceEscat, Experiment::ResiliencePrism] {

@@ -13,6 +13,7 @@
 //! cargo run --release --example porting_study
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, SimOptions};
 use sioscope_machine::MachineConfig;
 use sioscope_pfs::{PfsConfig, PfsCosts};
@@ -32,7 +33,7 @@ fn run_on(workload: &Workload, machine: MachineConfig) -> sioscope::simulator::R
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let smoke = Scale::from_env() == Scale::Smoke;
     let build = |v: EscatVersion| {
         if smoke {
             EscatConfig::tiny(v).build()

@@ -13,10 +13,7 @@ use sioscope_pfs::OpKind;
 use sioscope_workloads::PrismVersion;
 
 fn main() {
-    let scale = match std::env::var("SIOSCOPE_SCALE").as_deref() {
-        Ok("smoke") => Scale::Smoke,
-        _ => Scale::Full,
-    };
+    let scale = Scale::from_env();
     let mut failures = 0;
     for e in [
         Experiment::PrismTable4,

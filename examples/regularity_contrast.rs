@@ -12,6 +12,7 @@
 //! cargo run --release --example regularity_contrast
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::interarrival::per_process;
 use sioscope_analysis::{BandwidthSeries, Cdf};
@@ -52,7 +53,7 @@ fn row(name: &str, r: &RunResult) {
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let smoke = Scale::from_env() == Scale::Smoke;
     println!(
         "{:<18}{:>10}{:>12}{:>11}{:>18}{:>18}",
         "workload", "iat CV", "burstiness", "duty", "read sizes (B)", "write sizes (B)"

@@ -8,6 +8,7 @@
 //! cargo run --release --example three_dimensions
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::classify::class_totals;
 use sioscope_analysis::{
@@ -75,7 +76,7 @@ fn characterize(r: &RunResult) {
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let smoke = Scale::from_env() == Scale::Smoke;
     for v in [EscatVersion::A, EscatVersion::B, EscatVersion::C] {
         let w = if smoke {
             EscatConfig::tiny(v).build()

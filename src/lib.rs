@@ -3,8 +3,8 @@
 //! whole toolkit into scope.
 //!
 //! The canonical outputs of the reproduction live in `artifacts/`
-//! (regenerate with `cargo run -p sioscope-bench --bin repro --release
-//! -- --sweeps --out artifacts`).
+//! (regenerate with `cargo run -p sioscope-bench --release --bin
+//! sioscope -- repro --sweeps --out artifacts`).
 
 /// Everything an experiment script typically needs.
 pub mod prelude {

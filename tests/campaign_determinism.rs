@@ -66,7 +66,7 @@ fn cold_cached_and_single_worker_reports_are_bit_identical() {
     .unwrap();
 
     assert_eq!(cold.render(), cached.render(), "cold vs cached");
-    assert_eq!(cold.render(), serial.render(), "parallel vs --jobs 1");
+    assert_eq!(cold.render(), serial.render(), "jobs 2 vs jobs 1");
     assert_eq!(cold.render(), no_cache.render(), "cached vs --no-cache");
     assert!(
         cold.runs.iter().all(|r| r.entry.is_ok()),
