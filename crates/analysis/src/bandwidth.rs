@@ -9,7 +9,7 @@
 
 use sioscope_pfs::OpKind;
 use sioscope_sim::Time;
-use sioscope_trace::{IoEvent, TraceIndex};
+use sioscope_trace::TraceIndex;
 
 /// Windowed throughput series.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,40 +22,12 @@ pub struct BandwidthSeries {
 
 impl BandwidthSeries {
     /// Bucket every data event's bytes into the window containing its
-    /// completion instant.
+    /// completion instant, from a [`TraceIndex`]'s per-kind
+    /// completion-order columns — no event scan. The series runs from
+    /// t = 0 to the window holding the last data completion.
     ///
     /// # Panics
     /// Panics if `window` is zero.
-    pub fn build(events: &[IoEvent], window: Time) -> Self {
-        assert!(!window.is_zero(), "window must be positive");
-        let end = events
-            .iter()
-            .filter(|e| e.is_data())
-            .map(|e| e.end())
-            .fold(Time::ZERO, Time::max);
-        let n = (end.as_nanos() / window.as_nanos() + 1) as usize;
-        let mut bytes_per_window = vec![0u64; n.min(10_000_000)];
-        for e in events.iter().filter(|e| e.is_data() && e.bytes > 0) {
-            let idx = (e.end().as_nanos() / window.as_nanos()) as usize;
-            if let Some(slot) = bytes_per_window.get_mut(idx) {
-                *slot += e.bytes;
-            }
-        }
-        BandwidthSeries {
-            window,
-            bytes_per_window,
-        }
-    }
-
-    /// Build from a [`TraceIndex`] using the per-kind completion-order
-    /// columns — no event scan. Identical to [`build`]
-    /// (same series length, same u64 bucket sums): byte adds commute,
-    /// and the zero-byte filter in the scan only skips no-op adds.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    ///
-    /// [`build`]: BandwidthSeries::build
     pub fn from_index(index: &TraceIndex, window: Time) -> Self {
         assert!(!window.is_zero(), "window must be positive");
         let end = [OpKind::Read, OpKind::Write]
@@ -140,6 +112,11 @@ mod tests {
     use super::*;
     use sioscope_pfs::{IoMode, OpKind};
     use sioscope_sim::{FileId, Pid};
+    use sioscope_trace::IoEvent;
+
+    fn series(events: &[IoEvent], window: Time) -> BandwidthSeries {
+        BandwidthSeries::from_index(&TraceIndex::build(events), window)
+    }
 
     fn ev(kind: OpKind, start_s: u64, bytes: u64) -> IoEvent {
         IoEvent {
@@ -161,7 +138,7 @@ mod tests {
             ev(OpKind::Read, 0, 500),
             ev(OpKind::Write, 10, 2000),
         ];
-        let s = BandwidthSeries::build(&events, Time::from_secs(5));
+        let s = series(&events, Time::from_secs(5));
         assert_eq!(s.bytes_per_window[0], 1500);
         assert_eq!(s.bytes_per_window[2], 2000);
         assert!((s.bps(0) - 300.0).abs() < 1e-9);
@@ -171,7 +148,7 @@ mod tests {
     #[test]
     fn control_ops_ignored() {
         let events = vec![ev(OpKind::Open, 0, 0), ev(OpKind::Seek, 1, 0)];
-        let s = BandwidthSeries::build(&events, Time::from_secs(1));
+        let s = series(&events, Time::from_secs(1));
         assert_eq!(s.bytes_per_window.iter().sum::<u64>(), 0);
         assert_eq!(s.duty_cycle(), 0.0);
     }
@@ -184,12 +161,12 @@ mod tests {
         for b in 0..5u64 {
             bursty.push(ev(OpKind::Write, b * 100, 1 << 20));
         }
-        let s_bursty = BandwidthSeries::build(&bursty, Time::from_secs(10));
+        let s_bursty = series(&bursty, Time::from_secs(10));
         let mut smooth = Vec::new();
         for t in 0..40u64 {
             smooth.push(ev(OpKind::Write, t * 10, 1 << 20));
         }
-        let s_smooth = BandwidthSeries::build(&smooth, Time::from_secs(10));
+        let s_smooth = series(&smooth, Time::from_secs(10));
         assert!(s_bursty.burstiness() > 3.0, "{}", s_bursty.burstiness());
         assert!(s_smooth.burstiness() < 1.5, "{}", s_smooth.burstiness());
         assert!(s_bursty.duty_cycle() < 0.2);
@@ -198,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_series() {
-        let s = BandwidthSeries::build(&[], Time::from_secs(1));
+        let s = series(&[], Time::from_secs(1));
         assert_eq!(s.len(), 1); // one empty window at t=0
         assert_eq!(s.mean_bps(), 0.0);
         assert_eq!(s.burstiness(), 0.0);
@@ -208,6 +185,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
-        BandwidthSeries::build(&[], Time::ZERO);
+        series(&[], Time::ZERO);
     }
 }

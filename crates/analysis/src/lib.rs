@@ -8,12 +8,12 @@
 //! percentage-of-execution-time tables (Table 3), and ASCII renderings
 //! of all of them.
 //!
-//! Every pass has two entry points: the original scan over
-//! `&[IoEvent]`, retained as the oracle, and an indexed variant
-//! (`from_index` / `of_kind` / `*_indexed`) that answers from a
-//! shared [`sioscope_trace::TraceIndex`] without revisiting the event
-//! vector. The indexed variants are bit-identical to the scans;
-//! property tests in `tests/proptest_indexed.rs` enforce this.
+//! Every trace pass answers from a shared
+//! [`sioscope_trace::TraceIndex`] (`from_index` / `of_kind` /
+//! `*_indexed`) without revisiting the event vector. The original
+//! scans over `&[IoEvent]` live on only as test oracles in
+//! `tests/proptest_indexed.rs`, whose property tests hold every
+//! indexed pass bit-identical to its scan.
 
 pub mod bandwidth;
 pub mod cdf;
@@ -37,9 +37,7 @@ pub use histogram::LogHistogram;
 pub use interarrival::Interarrival;
 pub use modes::{ModeStats, ModeUsage};
 pub use parallelism::{ConcurrencyProfile, NodeBalance};
-pub use phases::{
-    detect as detect_phases, detect_indexed as detect_phases_indexed, PhaseKind, PhaseSpan,
-};
+pub use phases::{detect_indexed as detect_phases_indexed, PhaseKind, PhaseSpan};
 pub use stats::Summary;
 pub use table::{ExecTimeTable, IoTimeTable};
 pub use timeline::Timeline;

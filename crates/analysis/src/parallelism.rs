@@ -13,7 +13,7 @@
 
 use sioscope_pfs::OpKind;
 use sioscope_sim::{Pid, Time};
-use sioscope_trace::{IoEvent, TraceIndex};
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 
 /// Sweep-line concurrency profile of outstanding I/O calls.
@@ -33,23 +33,10 @@ pub struct ConcurrencyProfile {
 }
 
 impl ConcurrencyProfile {
-    /// Build from a trace.
-    pub fn build(events: &[IoEvent]) -> Self {
-        let mut deltas: BTreeMap<Time, i64> = BTreeMap::new();
-        for e in events {
-            *deltas.entry(e.start).or_insert(0) += 1;
-            *deltas.entry(e.end()).or_insert(0) -= 1;
-        }
-        Self::from_breakpoints(deltas.into_iter())
-    }
-
     /// Build from a [`TraceIndex`] without revisiting the events: the
-    /// index's start column and end-sorted column are merged into the
-    /// same `(instant, delta)` breakpoint sequence the scan derives,
-    /// one merged entry per distinct instant (including net-zero
-    /// deltas from zero-duration events, which the scan also emits).
-    /// The shared fold then performs the identical floating-point
-    /// accumulation, so the profile is bit-identical to `build`.
+    /// index's start column and end-sorted column are merged into one
+    /// `(instant, delta)` breakpoint per distinct instant (including
+    /// net-zero deltas from zero-duration events), then swept.
     pub fn from_index(index: &TraceIndex) -> Self {
         let starts = index.starts();
         let ends = index.ends_sorted();
@@ -75,9 +62,7 @@ impl ConcurrencyProfile {
         Self::from_breakpoints(breaks.into_iter())
     }
 
-    /// The shared sweep over time-ordered `(instant, delta)`
-    /// breakpoints — both constructors funnel through this fold so
-    /// their floating-point results are identical to the bit.
+    /// The sweep over time-ordered `(instant, delta)` breakpoints.
     fn from_breakpoints(deltas: impl Iterator<Item = (Time, i64)>) -> Self {
         let mut steps = Vec::new();
         let mut level: i64 = 0;
@@ -132,26 +117,8 @@ pub struct NodeBalance {
 }
 
 impl NodeBalance {
-    /// Build from a trace (all operations).
-    pub fn build(events: &[IoEvent]) -> Self {
-        Self::build_filtered(events, |_| true)
-    }
-
-    /// Build over the events a predicate selects — e.g. only writes,
-    /// to measure the §6.1 "single node coordinates all writes"
-    /// pattern.
-    pub fn build_filtered(events: &[IoEvent], keep: impl Fn(&IoEvent) -> bool) -> Self {
-        let mut per_node: BTreeMap<u32, Time> = BTreeMap::new();
-        let mut total = Time::ZERO;
-        for e in events.iter().filter(|e| keep(e)) {
-            *per_node.entry(e.pid.0).or_insert(Time::ZERO) += e.duration;
-            total += e.duration;
-        }
-        NodeBalance { per_node, total }
-    }
-
-    /// Build from a [`TraceIndex`]: one lookup per pid against the
-    /// pre-aggregated per-pid totals.
+    /// Build from a [`TraceIndex`] over all operations: one lookup per
+    /// pid against the pre-aggregated per-pid totals.
     pub fn from_index(index: &TraceIndex) -> Self {
         let mut per_node = BTreeMap::new();
         let mut total = Time::ZERO;
@@ -163,9 +130,8 @@ impl NodeBalance {
         NodeBalance { per_node, total }
     }
 
-    /// Indexed equivalent of
-    /// [`build_filtered`](NodeBalance::build_filtered) with a
-    /// kind-equality predicate — the only filter the report paths use.
+    /// Build over one operation kind only — e.g. only writes, to
+    /// measure the §6.1 "single node coordinates all writes" pattern.
     pub fn of_kind(index: &TraceIndex, kind: OpKind) -> Self {
         let mut per_node = BTreeMap::new();
         let mut total = Time::ZERO;
@@ -232,6 +198,15 @@ mod tests {
     use super::*;
     use sioscope_pfs::{IoMode, OpKind};
     use sioscope_sim::FileId;
+    use sioscope_trace::IoEvent;
+
+    fn profile(events: &[IoEvent]) -> ConcurrencyProfile {
+        ConcurrencyProfile::from_index(&TraceIndex::build(events))
+    }
+
+    fn balance(events: &[IoEvent]) -> NodeBalance {
+        NodeBalance::from_index(&TraceIndex::build(events))
+    }
 
     fn ev(pid: u32, start_s: u64, dur_s: u64) -> IoEvent {
         IoEvent {
@@ -250,7 +225,7 @@ mod tests {
     fn concurrency_counts_overlaps() {
         // [0,10), [5,15), [20,25): peak 2.
         let events = vec![ev(0, 0, 10), ev(1, 5, 10), ev(2, 20, 5)];
-        let p = ConcurrencyProfile::build(&events);
+        let p = profile(&events);
         assert_eq!(p.peak, 2);
         assert_eq!(p.at(Time::from_secs(6)), 2);
         assert_eq!(p.at(Time::from_secs(12)), 1);
@@ -264,7 +239,7 @@ mod tests {
 
     #[test]
     fn empty_profile() {
-        let p = ConcurrencyProfile::build(&[]);
+        let p = profile(&[]);
         assert_eq!(p.peak, 0);
         assert_eq!(p.mean, 0.0);
         assert_eq!(p.mean_active, 0.0);
@@ -274,7 +249,7 @@ mod tests {
     #[test]
     fn node_balance_shares() {
         let events = vec![ev(0, 0, 9), ev(1, 0, 1)];
-        let b = NodeBalance::build(&events);
+        let b = balance(&events);
         assert!((b.share(Pid(0)) - 0.9).abs() < 1e-9);
         assert!((b.share(Pid(1)) - 0.1).abs() < 1e-9);
         assert_eq!(b.share(Pid(9)), 0.0);
@@ -286,11 +261,10 @@ mod tests {
     fn filtered_balance_selects_events() {
         let mut events = vec![ev(0, 0, 10)];
         events.push(IoEvent {
-            kind: sioscope_pfs::OpKind::Write,
+            kind: OpKind::Write,
             ..ev(1, 0, 10)
         });
-        let writes_only =
-            NodeBalance::build_filtered(&events, |e| e.kind == sioscope_pfs::OpKind::Write);
+        let writes_only = NodeBalance::of_kind(&TraceIndex::build(&events), OpKind::Write);
         assert_eq!(writes_only.share(Pid(1)), 1.0);
         assert_eq!(writes_only.share(Pid(0)), 0.0);
     }
@@ -299,17 +273,17 @@ mod tests {
     fn gini_extremes() {
         // One node does everything among 4 → high Gini.
         let skewed = vec![ev(0, 0, 100), ev(1, 0, 0), ev(2, 0, 0), ev(3, 0, 0)];
-        let g_skewed = NodeBalance::build(&skewed).gini();
+        let g_skewed = balance(&skewed).gini();
         // Perfectly even.
         let even = vec![ev(0, 0, 10), ev(1, 0, 10), ev(2, 0, 10), ev(3, 0, 10)];
-        let g_even = NodeBalance::build(&even).gini();
+        let g_even = balance(&even).gini();
         assert!(g_skewed > 0.7, "skewed gini {g_skewed}");
         assert!(g_even.abs() < 1e-9, "even gini {g_even}");
     }
 
     #[test]
     fn zero_duration_events_do_not_break_gini() {
-        let b = NodeBalance::build(&[ev(0, 0, 0)]);
+        let b = balance(&[ev(0, 0, 0)]);
         assert_eq!(b.gini(), 0.0);
         assert_eq!(b.max_share(), 0.0);
         assert_eq!(b.active_nodes(), 0);

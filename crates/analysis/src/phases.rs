@@ -46,21 +46,16 @@ impl PhaseSpan {
     }
 }
 
-/// Cluster a (time-sorted) trace into phases separated by I/O gaps of
-/// at least `gap`.
-pub fn detect(events: &[IoEvent], gap: Time) -> Vec<PhaseSpan> {
-    detect_iter(events.iter().copied(), gap)
-}
-
-/// Cluster an indexed trace into phases. The index's canonical order
-/// is time-sorted, so this is [`detect`] over the properly ordered
-/// stream — identical to running `detect` on a sorted trace even if
-/// the original slice was not sorted.
+/// Cluster an indexed trace into phases separated by I/O gaps of at
+/// least `gap`, walking the index's canonical (time-sorted) order.
 pub fn detect_indexed(index: &TraceIndex, gap: Time) -> Vec<PhaseSpan> {
     detect_iter(index.iter(), gap)
 }
 
-/// The sequential clustering pass both entry points share.
+/// The sequential clustering pass. Kept out of `detect_indexed`: with
+/// the loop inlined there, the characterize benchmark's phase span
+/// measured about 1.7x slower and its mode span about 1.3x (release
+/// build, 2-core x86-64).
 fn detect_iter(events: impl Iterator<Item = IoEvent>, gap: Time) -> Vec<PhaseSpan> {
     let mut phases: Vec<PhaseSpan> = Vec::new();
     let mut current: Option<PhaseSpan> = None;
@@ -138,6 +133,10 @@ mod tests {
     use super::*;
     use sioscope_pfs::IoMode;
     use sioscope_sim::{FileId, Pid};
+
+    fn detect(events: &[IoEvent], gap: Time) -> Vec<PhaseSpan> {
+        detect_indexed(&TraceIndex::build(events), gap)
+    }
 
     fn ev(kind: OpKind, start_s: u64, bytes: u64) -> IoEvent {
         IoEvent {

@@ -3,15 +3,166 @@
 //! results where the pass produces floats. The indexed variants feed
 //! the same accumulation code the same values in the same order, so
 //! `==` (not approximate comparison) is the correct assertion.
+//!
+//! The oracles are the library's original scans over `&[IoEvent]`,
+//! kept here as the reference implementations.
 
+use sioscope_analysis::interarrival::{self, Interarrival};
 use sioscope_analysis::{
-    detect_phases, detect_phases_indexed, interarrival, BandwidthSeries, Cdf, ConcurrencyProfile,
-    LogHistogram, ModeUsage, NodeBalance, Timeline,
+    detect_phases_indexed, BandwidthSeries, Cdf, ConcurrencyProfile, LogHistogram, ModeStats,
+    ModeUsage, NodeBalance, PhaseKind, PhaseSpan, Timeline,
 };
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_sim::prop::prelude::*;
 use sioscope_sim::{FileId, Pid, Time};
 use sioscope_trace::{IoEvent, TraceRecorder};
+use std::collections::BTreeMap;
+
+/// Oracle: sweep-line concurrency over a `BTreeMap` of breakpoints.
+fn concurrency_scan(events: &[IoEvent]) -> ConcurrencyProfile {
+    let mut deltas: BTreeMap<Time, i64> = BTreeMap::new();
+    for e in events {
+        *deltas.entry(e.start).or_insert(0) += 1;
+        *deltas.entry(e.end()).or_insert(0) -= 1;
+    }
+    let mut steps = Vec::new();
+    let mut level: i64 = 0;
+    let mut peak = 0u32;
+    let mut weighted = 0.0f64;
+    let mut active = 0.0f64;
+    let mut prev: Option<Time> = None;
+    for (t, d) in deltas {
+        if let Some(p) = prev {
+            let dt = (t - p).as_secs_f64();
+            weighted += level as f64 * dt;
+            if level > 0 {
+                active += dt;
+            }
+        }
+        level += d;
+        debug_assert!(level >= 0, "negative outstanding count");
+        peak = peak.max(level as u32);
+        steps.push((t, level as u32));
+        prev = Some(t);
+    }
+    let span = match (steps.first(), steps.last()) {
+        (Some(&(s, _)), Some(&(e, _))) if e > s => (e - s).as_secs_f64(),
+        _ => 0.0,
+    };
+    let mean = if span > 0.0 { weighted / span } else { 0.0 };
+    let mean_active = if active > 0.0 { weighted / active } else { 0.0 };
+    ConcurrencyProfile {
+        steps,
+        peak,
+        mean,
+        mean_active,
+    }
+}
+
+/// Oracle: per-node I/O time over the events a predicate selects.
+fn node_balance_scan(events: &[IoEvent], keep: impl Fn(&IoEvent) -> bool) -> NodeBalance {
+    let mut per_node: BTreeMap<u32, Time> = BTreeMap::new();
+    let mut total = Time::ZERO;
+    for e in events.iter().filter(|e| keep(e)) {
+        *per_node.entry(e.pid.0).or_insert(Time::ZERO) += e.duration;
+        total += e.duration;
+    }
+    NodeBalance { per_node, total }
+}
+
+/// Oracle: bucket every data event's bytes by completion window.
+fn bandwidth_scan(events: &[IoEvent], window: Time) -> BandwidthSeries {
+    let end = events
+        .iter()
+        .filter(|e| e.is_data())
+        .map(|e| e.end())
+        .fold(Time::ZERO, Time::max);
+    let n = (end.as_nanos() / window.as_nanos() + 1) as usize;
+    let mut bytes_per_window = vec![0u64; n.min(10_000_000)];
+    for e in events.iter().filter(|e| e.is_data() && e.bytes > 0) {
+        let idx = (e.end().as_nanos() / window.as_nanos()) as usize;
+        if let Some(slot) = bytes_per_window.get_mut(idx) {
+            *slot += e.bytes;
+        }
+    }
+    BandwidthSeries {
+        window,
+        bytes_per_window,
+    }
+}
+
+/// Oracle: per-mode aggregation, keyed by mode name.
+fn modes_scan(events: &[IoEvent]) -> BTreeMap<&'static str, ModeStats> {
+    let mut per_mode: BTreeMap<&'static str, ModeStats> = BTreeMap::new();
+    for e in events {
+        let s = per_mode.entry(e.mode.name()).or_default();
+        s.ops += 1;
+        s.bytes += e.bytes;
+        s.time += e.duration;
+    }
+    per_mode
+}
+
+/// Oracle: cluster a time-sorted trace into phases separated by I/O
+/// gaps of at least `gap`.
+fn phases_scan(events: &[IoEvent], gap: Time) -> Vec<PhaseSpan> {
+    let classify = |p: &PhaseSpan| {
+        if p.bytes_read == 0 && p.bytes_written == 0 {
+            PhaseKind::ControlOnly
+        } else if p.bytes_read >= p.bytes_written {
+            PhaseKind::ReadDominant
+        } else {
+            PhaseKind::WriteDominant
+        }
+    };
+    let mut phases: Vec<PhaseSpan> = Vec::new();
+    let mut current: Option<PhaseSpan> = None;
+    for e in events {
+        match current.as_mut() {
+            Some(p) if e.start.saturating_sub(p.end) < gap => {
+                p.end = p.end.max(e.end());
+                p.events += 1;
+                match e.kind {
+                    OpKind::Read => p.bytes_read += e.bytes,
+                    OpKind::Write => p.bytes_written += e.bytes,
+                    _ => {}
+                }
+            }
+            _ => {
+                if let Some(mut done) = current.take() {
+                    done.kind = classify(&done);
+                    phases.push(done);
+                }
+                current = Some(PhaseSpan {
+                    start: e.start,
+                    end: e.end(),
+                    events: 1,
+                    bytes_read: if e.kind == OpKind::Read { e.bytes } else { 0 },
+                    bytes_written: if e.kind == OpKind::Write { e.bytes } else { 0 },
+                    kind: PhaseKind::ControlOnly,
+                });
+            }
+        }
+    }
+    if let Some(mut done) = current.take() {
+        done.kind = classify(&done);
+        phases.push(done);
+    }
+    phases
+}
+
+/// Oracle: regroup start instants by pid, then take each stream's
+/// interarrival statistics.
+fn interarrival_scan(events: &[IoEvent]) -> BTreeMap<Pid, Interarrival> {
+    let mut starts: BTreeMap<Pid, Vec<Time>> = BTreeMap::new();
+    for e in events {
+        starts.entry(e.pid).or_default().push(e.start);
+    }
+    starts
+        .into_iter()
+        .filter_map(|(pid, s)| interarrival::of_starts(&s).map(|ia| (pid, ia)))
+        .collect()
+}
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
     prop_oneof![
@@ -85,7 +236,7 @@ proptest! {
         let t = recorder(&events);
         assert_eq!(
             ConcurrencyProfile::from_index(t.index()),
-            ConcurrencyProfile::build(&events)
+            concurrency_scan(&events)
         );
     }
 
@@ -93,11 +244,11 @@ proptest! {
     #[test]
     fn node_balance_matches_oracle(events in prop::collection::vec(arb_event(), 0..250)) {
         let t = recorder(&events);
-        assert_eq!(NodeBalance::from_index(t.index()), NodeBalance::build(&events));
+        assert_eq!(NodeBalance::from_index(t.index()), node_balance_scan(&events, |_| true));
         for k in [OpKind::Read, OpKind::Write, OpKind::Seek] {
             assert_eq!(
                 NodeBalance::of_kind(t.index(), k),
-                NodeBalance::build_filtered(&events, |e| e.kind == k)
+                node_balance_scan(&events, |e| e.kind == k)
             );
         }
     }
@@ -113,7 +264,7 @@ proptest! {
         let w = Time::from_nanos(window_ns);
         assert_eq!(
             BandwidthSeries::from_index(t.index(), w),
-            BandwidthSeries::build(&events, w)
+            bandwidth_scan(&events, w)
         );
     }
 
@@ -165,15 +316,28 @@ proptest! {
         let gap = Time::from_nanos(gap_ns);
         assert_eq!(
             detect_phases_indexed(t.index(), gap),
-            detect_phases(t.events(), gap)
+            phases_scan(t.events(), gap)
         );
     }
 
-    /// Access-mode aggregation commutes: indexed equals scan.
+    /// Access-mode aggregation commutes: indexed equals scan, mode
+    /// for mode.
     #[test]
     fn modes_match_oracle(events in prop::collection::vec(arb_event(), 0..250)) {
         let t = recorder(&events);
-        assert_eq!(ModeUsage::from_index(t.index()), ModeUsage::build(&events));
+        let usage = ModeUsage::from_index(t.index());
+        let oracle = modes_scan(&events);
+        assert_eq!(usage.used_modes(), oracle.keys().copied().collect::<Vec<_>>());
+        for mode in [
+            IoMode::MUnix,
+            IoMode::MRecord,
+            IoMode::MAsync,
+            IoMode::MGlobal,
+            IoMode::MSync,
+            IoMode::MLog,
+        ] {
+            assert_eq!(usage.get(mode), oracle.get(mode.name()).copied().unwrap_or_default());
+        }
     }
 
     /// Per-process interarrival statistics from pid postings equal the
@@ -183,7 +347,7 @@ proptest! {
         let t = recorder(&events);
         assert_eq!(
             interarrival::per_process_indexed(t.index()),
-            interarrival::per_process(&events)
+            interarrival_scan(&events)
         );
     }
 }

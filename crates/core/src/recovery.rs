@@ -56,9 +56,10 @@ pub struct RecoveryStats {
 /// on the storage tier `cfg` selects (a bare
 /// [`PfsConfig`](sioscope_pfs::PfsConfig) selects the striped PFS).
 ///
-/// Only [`FaultKind::ComputeNodeCrash`] events are consumed here; I/O
-/// faults belong in the tier config's own schedule as usual (the two
-/// compose — the storage layer never observes compute crashes). Crash
+/// `crashes` holds only [`FaultKind::ComputeNodeCrash`] events; any
+/// other kind is an [`SimError::InvalidFaults`]. I/O faults belong in
+/// the tier config's own schedule as usual (the two compose — the
+/// storage layer never observes compute crashes). Crash
 /// instants are global wall-clock times; a crash that lands during
 /// another crash's rework window is absorbed by it (the partition is
 /// already down).
@@ -78,14 +79,7 @@ pub fn run_with_recovery(
 ) -> Result<RunResult, SimError> {
     let cfg = cfg.into();
     // Fail fast on malformed crash scenarios before any simulation.
-    // The object store has no I/O nodes; compute-crash validation
-    // still applies against the application shape.
-    let io_nodes = match &cfg {
-        BackendConfig::Pfs(c) => c.machine.io_nodes,
-        BackendConfig::Burst(b) => b.pfs.machine.io_nodes,
-        BackendConfig::Object(_) => 0,
-    };
-    let problems = crashes.validate_for(io_nodes, rec.workload().nodes);
+    let problems = crash_schedule_problems(crashes, rec.workload().nodes);
     if !problems.is_empty() {
         return Err(SimError::InvalidFaults(problems));
     }
@@ -163,6 +157,34 @@ pub fn run_with_recovery(
         }
         wall = at.saturating_add(rework);
         from = new_from;
+    }
+}
+
+/// Validate a compute-crash schedule against `compute_nodes` nodes.
+/// Both crash-driven entry points ([`run_with_recovery`] and
+/// [`run_schedule`](crate::schedule::run_schedule)) consume only
+/// [`FaultKind::ComputeNodeCrash`] events, so any other kind would be
+/// silently dropped: it is reported instead, naming where I/O faults
+/// belong.
+pub(crate) fn crash_schedule_problems(crashes: &FaultSchedule, compute_nodes: u32) -> Vec<String> {
+    let misplaced: Vec<String> = crashes
+        .events
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| !matches!(ev.kind, FaultKind::ComputeNodeCrash { .. }))
+        .map(|(i, ev)| {
+            format!(
+                "event {i}: {} is not a compute-crash; I/O faults belong in the \
+                 storage tier's own fault schedule",
+                ev.kind.label()
+            )
+        })
+        .collect();
+    if misplaced.is_empty() {
+        // Only compute crashes remain, so no I/O-node bound applies.
+        crashes.validate_for(0, compute_nodes)
+    } else {
+        misplaced
     }
 }
 
@@ -350,13 +372,25 @@ mod tests {
                 rework: Time::from_secs(1),
             },
         );
-        let e =
-            run_with_recovery(&rec, &s, tiny_pfs(cfg.nodes), SimOptions::default()).unwrap_err();
-        match e {
-            SimError::InvalidFaults(problems) => {
-                assert!(problems.iter().any(|p| p.contains("compute-crash")));
+        // An I/O fault has no place in a crash schedule: it would be
+        // silently dropped, so it is rejected instead.
+        let mut io = FaultSchedule::empty();
+        io.push(
+            Time::from_millis(1),
+            FaultKind::IonCrash {
+                ion: 0,
+                restart: Time::from_secs(1),
+            },
+        );
+        for (s, needle) in [(s, "compute-crash targets node 99"), (io, "ion-crash")] {
+            let e = run_with_recovery(&rec, &s, tiny_pfs(cfg.nodes), SimOptions::default())
+                .unwrap_err();
+            match e {
+                SimError::InvalidFaults(problems) => {
+                    assert!(problems.iter().any(|p| p.contains(needle)), "{problems:?}");
+                }
+                other => panic!("expected InvalidFaults, got {other}"),
             }
-            other => panic!("expected InvalidFaults, got {other}"),
         }
     }
 

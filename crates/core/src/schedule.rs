@@ -20,8 +20,11 @@
 //! partition cell via [`Pfs::place_compute_node`], which is what makes
 //! co-resident jobs pay realistic, position-dependent network costs.
 //! Per-job results are reported in *local* coordinates (pid 0 = the
-//! job's first node, file 0 = its first file) on the *global* clock,
-//! so a single job arriving at t = 0 reproduces its dedicated-mode
+//! job's first node, file 0 = its first file) on the *global* clock.
+//! Each attempt is a `simulator::Gang`, the statement interpreter a
+//! dedicated [`run`] uses, offset to the attempt's global ids and
+//! collective keys. Job 0's first attempt has zero offsets, so a
+//! single job arriving at t = 0 reproduces its dedicated-mode
 //! [`RunResult`] bit for bit.
 //!
 //! ## Crash handling
@@ -31,23 +34,21 @@
 //! applications are SPMD): the attempt is torn down, its partition is
 //! freed immediately, and the job re-enters the back of the queue once
 //! the crash's rework latency elapses. Crashes on unallocated cells
-//! are absorbed. I/O faults ride in `pfs_cfg.faults` exactly as in
-//! dedicated runs and are shared by every co-resident job.
+//! are absorbed. The crash schedule holds compute-node crashes only;
+//! I/O faults ride in `pfs_cfg.faults` exactly as in dedicated runs
+//! and are shared by every co-resident job.
 
-use crate::recovery::RecoveryStats;
-use crate::simulator::{run, RunResult, SimError, SimOptions};
+use crate::recovery::{crash_schedule_problems, RecoveryStats};
+use crate::simulator::{run, Gang, LoopState, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_machine::MeshModel;
-use sioscope_pfs::{BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats};
+use sioscope_pfs::{Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend};
 use sioscope_sched::{
     AllocPolicy, JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
 };
-use sioscope_sim::{
-    EventQueue, FileId, JobId, NodeId, Pid, RendezvousOutcome, RendezvousTable, Time,
-};
+use sioscope_sim::{EventQueue, FileId, JobId, NodeId, Pid, Time};
 use sioscope_trace::{IoEvent, JobMap, TraceRecorder};
-use sioscope_workloads::Stmt;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Why a scheduled run failed.
@@ -156,20 +157,12 @@ enum SEv {
     Requeue(u32),
     /// Try to start queued jobs (arrival, completion, or freed nodes).
     TryDispatch,
-    /// Resume one process of one job attempt (job-local pid).
-    Resume { job: u32, attempt: u32, pid: u32 },
+    /// Resume one process: `(job, attempt, job-local pid)`.
+    Resume(u32, u32, u32),
     /// A compute-node crash strikes machine cell `node`.
     Crash { node: u32, rework: Time },
     /// A shared I/O fault window opens or closes.
     FaultTransition,
-}
-
-struct JobNode {
-    pc: usize,
-    issue_time: Time,
-    collective_seq: u32,
-    finished: bool,
-    finish_time: Time,
 }
 
 struct Job {
@@ -186,17 +179,13 @@ struct Job {
     /// Start instant of the current attempt.
     start: Time,
     partition: Option<Partition>,
-    pid_base: u32,
-    file_base: u32,
-    nodes: Vec<JobNode>,
-    unfinished: usize,
+    /// The current attempt's interpreter.
+    gang: Gang,
     done: bool,
     finish: Time,
     /// Resume events consumed by the current attempt.
     events: u64,
-    trace: TraceRecorder,
     res_base: ResilienceStats,
-    commits: BTreeMap<u32, Time>,
     rework_lost: Time,
     restart_latency: Time,
     result: Option<RunResult>,
@@ -224,9 +213,10 @@ fn collective_key(job: u32, attempt: u32, seq: u32) -> u64 {
 /// Run every job of `stream` through one shared machine and PFS.
 ///
 /// `crashes` carries [`FaultKind::ComputeNodeCrash`] events on the
-/// global clock (other kinds are ignored here — I/O faults belong in
-/// `pfs_cfg.faults`). The machine in `pfs_cfg` is used as-is: its
-/// `compute_nodes`/mesh describe the whole machine, not one job.
+/// global clock; any other kind is an [`SchedError::InvalidFaults`]
+/// (I/O faults belong in `pfs_cfg.faults`). The machine in `pfs_cfg`
+/// is used as-is: its `compute_nodes`/mesh describe the whole machine,
+/// not one job.
 pub fn run_schedule(
     stream: &JobStream,
     policy: QueuePolicy,
@@ -249,7 +239,7 @@ pub fn run_schedule(
             });
         }
     }
-    let crash_problems = crashes.validate_for(machine.io_nodes, machine.compute_nodes);
+    let crash_problems = crash_schedule_problems(crashes, machine.compute_nodes);
     if !crash_problems.is_empty() {
         return Err(SchedError::InvalidFaults(crash_problems));
     }
@@ -283,12 +273,9 @@ pub fn run_schedule(
     let mut pfs = Pfs::new(pfs_cfg);
 
     let mut queue: EventQueue<SEv> = EventQueue::new();
-    let mut collectives = RendezvousTable::new();
     let mut fault_transitions = 0u64;
-    if let Some(state) = pfs.fault_state() {
-        for &t in state.transitions() {
-            queue.schedule(t, SEv::FaultTransition);
-        }
+    for t in pfs.fault_transition_times() {
+        queue.schedule(t, SEv::FaultTransition);
     }
     for ev in &crashes.events {
         if let FaultKind::ComputeNodeCrash { node, rework } = ev.kind {
@@ -308,7 +295,7 @@ pub fn run_schedule(
     // a dead attempt's ids can never alias a live one's.
     let mut next_pid: u32 = 0;
     let mut next_file: u32 = 0;
-    let mut completions = Vec::new();
+    let mut shared = LoopState::new(&mesh, &options);
 
     // Start one job on a granted partition: fresh global pid and file
     // ranges, partition-cell mesh placement, all nodes resumed at now.
@@ -324,43 +311,25 @@ pub fn run_schedule(
                 jobs[j].first_start = Some(now);
             }
             jobs[j].start = now;
-            jobs[j].pid_base = next_pid;
-            next_pid += n;
             let attempt = jobs[j].attempt;
+            let pid_base = next_pid;
+            next_pid += n;
             for p in 0..n {
-                let global = NodeId(jobs[j].pid_base + p);
-                pfs.place_compute_node(global, Some(part.position_of(p)));
+                pfs.place_compute_node(NodeId(pid_base + p), Some(part.position_of(p)));
             }
-            jobs[j].file_base = next_file;
+            let file_base = next_file;
             for spec in &workload.files {
                 let name = format!("job{j}.a{attempt}/{}", spec.name);
                 pfs.create_file_with_size(&name, spec.initial_size);
                 next_file += 1;
             }
-            jobs[j].nodes = (0..n)
-                .map(|_| JobNode {
-                    pc: 0,
-                    issue_time: Time::ZERO,
-                    collective_seq: 0,
-                    finished: false,
-                    finish_time: Time::ZERO,
-                })
-                .collect();
-            jobs[j].unfinished = n as usize;
+            let key_base = collective_key(j as u32, attempt, 0);
+            jobs[j].gang = Gang::new(n, pid_base, file_base, key_base);
             jobs[j].events = 0;
-            jobs[j].trace = TraceRecorder::new();
             jobs[j].res_base = pfs.resilience_stats();
-            jobs[j].commits.clear();
             jobs[j].partition = Some(part);
             for p in 0..n {
-                queue.schedule(
-                    now,
-                    SEv::Resume {
-                        job: j as u32,
-                        attempt,
-                        pid: p,
-                    },
-                );
+                queue.schedule(now, SEv::Resume(j as u32, attempt, p));
             }
         }};
     }
@@ -387,16 +356,11 @@ pub fn run_schedule(
                     first_start: None,
                     start: Time::ZERO,
                     partition: None,
-                    pid_base: 0,
-                    file_base: 0,
-                    nodes: Vec::new(),
-                    unfinished: 0,
+                    gang: Gang::default(),
                     done: false,
                     finish: Time::ZERO,
                     events: 0,
-                    trace: TraceRecorder::new(),
                     res_base: ResilienceStats::default(),
-                    commits: BTreeMap::new(),
                     rework_lost: Time::ZERO,
                     restart_latency: Time::ZERO,
                     result: None,
@@ -421,11 +385,7 @@ pub fn run_schedule(
                     job.attempt += 1; // tombstone every in-flight event
                     job.rework_lost += now.saturating_sub(job.start);
                     job.restart_latency += rework;
-                    job.nodes.clear();
-                    job.unfinished = 0;
-                    job.events = 0;
-                    job.trace = TraceRecorder::new();
-                    job.commits.clear();
+                    job.gang = Gang::default();
                     let part = job.partition.take().expect("victim was running");
                     allocator.free(&part);
                     queue.schedule(now + rework, SEv::Requeue(v as u32));
@@ -453,7 +413,10 @@ pub fn run_schedule(
                     let mut running: Vec<(Time, u32)> = jobs
                         .iter()
                         .filter(|job| job.partition.is_some() && !job.done)
-                        .map(|job| (job.start + job.dedicated, job.nodes.len() as u32))
+                        .map(|job| {
+                            let nodes = stream.templates[job.template].workload.nodes;
+                            (job.start + job.dedicated, nodes)
+                        })
                         .collect();
                     running.sort();
                     let mut avail = allocator.free_nodes();
@@ -488,7 +451,7 @@ pub fn run_schedule(
                 }
                 continue;
             }
-            SEv::Resume { job, attempt, pid } => (job as usize, attempt, pid),
+            SEv::Resume(job, attempt, pid) => (job as usize, attempt, pid),
         };
 
         // Tombstone: a crash bumped the attempt after this was queued.
@@ -497,187 +460,45 @@ pub fn run_schedule(
         }
         jobs[j].events += 1;
         let workload = &stream.templates[jobs[j].template].workload;
-        let n = workload.nodes;
-        let pid_base = jobs[j].pid_base;
-        let file_base = jobs[j].file_base;
-        let state = &mut jobs[j].nodes[p as usize];
-        debug_assert!(!state.finished, "job {j} pid {p} resumed after finishing");
-        let program = &workload.programs[p as usize];
-
-        if state.pc >= program.len() {
-            state.finished = true;
-            state.finish_time = now;
-            jobs[j].unfinished -= 1;
-            if jobs[j].unfinished == 0 {
-                // Job complete: free its partition, snapshot its
-                // result, and let the queue at the nodes.
-                let job = &mut jobs[j];
-                job.done = true;
-                job.finish = now;
-                let part = job.partition.take().expect("finished job was running");
-                allocator.free(&part);
-                let node_finish: Vec<Time> = job.nodes.iter().map(|s| s.finish_time).collect();
-                let mut trace = std::mem::take(&mut job.trace);
-                trace.sort();
-                let recovery = if job.attempts > 1 {
-                    RecoveryStats {
-                        crashes: job.attempts - 1,
-                        attempts: job.attempts,
-                        rework: job.rework_lost,
-                        restart_latency: job.restart_latency,
-                        checkpoint_write_bytes: 0,
-                        checkpoint_read_bytes: 0,
-                        time_to_solution: now.saturating_sub(job.arrival),
-                    }
-                } else {
-                    RecoveryStats::default()
+        let finished = jobs[j]
+            .gang
+            .step(now, Pid(p), workload, &mut pfs, &mut shared, |t, local| {
+                queue.schedule(t, SEv::Resume(j as u32, attempt, local.0));
+            })
+            .map_err(|(stmt, source)| SchedError::Pfs {
+                job: JobId(j as u32),
+                pid: Pid(p),
+                stmt,
+                source,
+            })?;
+        if finished {
+            // Job complete: free its partition, snapshot its result,
+            // and let the queue at the nodes.
+            let job = &mut jobs[j];
+            job.done = true;
+            job.finish = now;
+            let part = job.partition.take().expect("finished job was running");
+            allocator.free(&part);
+            // The shared PFS has no volatile staging tier: every
+            // commit is durable at its commit instant.
+            let mut result = job.gang.result(workload, job.start, job.events);
+            result.resilience = resilience_delta(&pfs.resilience_stats(), &job.res_base);
+            if job.attempts > 1 {
+                result.recovery = RecoveryStats {
+                    crashes: job.attempts - 1,
+                    attempts: job.attempts,
+                    rework: job.rework_lost,
+                    restart_latency: job.restart_latency,
+                    time_to_solution: now.saturating_sub(job.arrival),
+                    ..RecoveryStats::default()
                 };
-                job.result = Some(RunResult {
-                    name: workload.name.clone(),
-                    version: workload.version.clone(),
-                    exec_time: now.saturating_sub(job.start),
-                    node_finish,
-                    trace,
-                    events: job.events,
-                    resilience: resilience_delta(&pfs.resilience_stats(), &job.res_base),
-                    fault_transitions: 0,
-                    checkpoint_commits: job.commits.iter().map(|(&k, &t)| (k, t)).collect(),
-                    // The shared PFS has no volatile staging tier:
-                    // every commit is durable at its commit instant.
-                    durable_commits: job.commits.iter().map(|(&k, &t)| (k, t)).collect(),
-                    recovery,
-                    backend_stats: BackendStats::default(),
-                });
-                queue.schedule(now, SEv::TryDispatch);
-                if let Some(a) = stream.next_arrival_after(spawned, now) {
-                    arrivals.push(a);
-                    queue.schedule(a.at, SEv::Arrive(spawned));
-                    spawned += 1;
-                }
             }
-            continue;
-        }
-        let stmt_idx = state.pc;
-        state.pc += 1;
-
-        match &program[stmt_idx] {
-            Stmt::Compute(d) => {
-                queue.schedule(
-                    now + *d,
-                    SEv::Resume {
-                        job: j as u32,
-                        attempt,
-                        pid: p,
-                    },
-                );
-            }
-            Stmt::Io { file, op } => {
-                let fid = FileId(file_base + *file);
-                jobs[j].nodes[p as usize].issue_time = now;
-                completions.clear();
-                match pfs.submit_into(now, Pid(pid_base + p), fid, op, &mut completions) {
-                    Ok(true) => {
-                        for c in completions.drain(..) {
-                            // Group completions only span this job's
-                            // pids (files are job-private).
-                            let local = c.pid.0 - pid_base;
-                            let issued = jobs[j].nodes[local as usize].issue_time;
-                            jobs[j].trace.record(IoEvent {
-                                pid: Pid(local),
-                                file: FileId(*file),
-                                kind: c.kind,
-                                start: issued,
-                                duration: c.finish.saturating_sub(issued),
-                                bytes: c.bytes,
-                                offset: c.offset,
-                                mode: c.mode,
-                            });
-                            queue.schedule(
-                                c.finish.max(now),
-                                SEv::Resume {
-                                    job: j as u32,
-                                    attempt,
-                                    pid: local,
-                                },
-                            );
-                        }
-                    }
-                    Ok(false) => {
-                        // Blocked in a forming group; the closing
-                        // arrival's submit call delivers completions.
-                    }
-                    Err(source) => {
-                        return Err(SchedError::Pfs {
-                            job: JobId(j as u32),
-                            pid: Pid(p),
-                            stmt: stmt_idx,
-                            source,
-                        });
-                    }
-                }
-            }
-            Stmt::CheckpointCommit(k) => {
-                let slot = jobs[j].commits.entry(*k).or_insert(Time::ZERO);
-                *slot = (*slot).max(now);
-                queue.schedule(
-                    now,
-                    SEv::Resume {
-                        job: j as u32,
-                        attempt,
-                        pid: p,
-                    },
-                );
-            }
-            collective @ (Stmt::Barrier | Stmt::Broadcast { .. } | Stmt::Gather { .. }) => {
-                let seq = jobs[j].nodes[p as usize].collective_seq;
-                jobs[j].nodes[p as usize].collective_seq += 1;
-                let key = collective_key(j as u32, attempt, seq);
-                match collectives.arrive(key, Pid(p), now, n as usize) {
-                    RendezvousOutcome::Waiting => {}
-                    RendezvousOutcome::Complete { arrivals, release } => {
-                        let base = release + options.collective_overhead;
-                        let resume = |queue: &mut EventQueue<SEv>, local: Pid, t: Time| {
-                            queue.schedule(
-                                t,
-                                SEv::Resume {
-                                    job: j as u32,
-                                    attempt,
-                                    pid: local.0,
-                                },
-                            );
-                        };
-                        match collective {
-                            Stmt::Barrier => {
-                                for (lp, _) in arrivals {
-                                    resume(&mut queue, lp, base.max(now));
-                                }
-                            }
-                            Stmt::Broadcast { bytes, .. } => {
-                                let t = base + mesh.broadcast_time(n, *bytes);
-                                for (lp, _) in arrivals {
-                                    resume(&mut queue, lp, t.max(now));
-                                }
-                            }
-                            Stmt::Gather {
-                                root,
-                                bytes_per_node,
-                            } => {
-                                let root_pid = Pid(*root);
-                                let gather_t = base + mesh.broadcast_time(n, *bytes_per_node);
-                                for (lp, _) in arrivals {
-                                    let t = if lp == root_pid {
-                                        gather_t
-                                    } else {
-                                        base + mesh
-                                            .message_time_hops(*bytes_per_node, mesh.diameter() / 2)
-                                    };
-                                    resume(&mut queue, lp, t.max(now));
-                                }
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                }
+            job.result = Some(result);
+            queue.schedule(now, SEv::TryDispatch);
+            if let Some(a) = stream.next_arrival_after(spawned, now) {
+                arrivals.push(a);
+                queue.schedule(a.at, SEv::Arrive(spawned));
+                spawned += 1;
             }
         }
     }
@@ -711,11 +532,12 @@ pub fn run_schedule(
     for (i, job) in jobs.iter_mut().enumerate() {
         let result = job.result.take().expect("all jobs finished");
         let workload = &stream.templates[job.template].workload;
-        job_map.insert(job.pid_base, job.pid_base + workload.nodes, JobId(i as u32));
+        let (pid_base, file_base) = (job.gang.pid_base, job.gang.file_base);
+        job_map.insert(pid_base, pid_base + workload.nodes, JobId(i as u32));
         for e in result.trace.events() {
             merged.record(IoEvent {
-                pid: Pid(e.pid.0 + job.pid_base),
-                file: FileId(e.file.0 + job.file_base),
+                pid: Pid(e.pid.0 + pid_base),
+                file: FileId(e.file.0 + file_base),
                 ..*e
             });
         }
@@ -759,7 +581,7 @@ mod tests {
     use sioscope_sched::{JobTemplate, StreamKind};
     use sioscope_sim::Time;
     use sioscope_trace::TraceIndex;
-    use sioscope_workloads::{FileSpec, OsRelease, Workload};
+    use sioscope_workloads::{FileSpec, OsRelease, Stmt, Workload};
 
     /// One compute burst, then every node reads `io_bytes` from a
     /// shared file — enough I/O to make PFS contention visible.
@@ -824,33 +646,55 @@ mod tests {
 
     #[test]
     fn single_job_schedule_is_bit_identical_to_dedicated() {
-        let w = io_workload("solo", 4, 256 << 10, Time::from_millis(10));
-        let cfg = machine(1);
-        let dedicated = run(&w, cfg.clone(), SimOptions::default()).unwrap();
-        let stream = scripted(vec![template("solo", w.clone())], vec![(Time::ZERO, 0)]);
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &FaultSchedule::empty(),
-            cfg,
-            SimOptions::default(),
-        )
-        .unwrap();
-        let job = &out.per_job[0];
-        assert_eq!(job.exec_time, dedicated.exec_time, "wall clock differs");
-        assert_eq!(job.node_finish, dedicated.node_finish);
-        assert_eq!(job.trace.events(), dedicated.trace.events());
-        assert_eq!(job.events, dedicated.events);
-        assert_eq!(job.resilience, dedicated.resilience);
-        assert_eq!(job.checkpoint_commits, dedicated.checkpoint_commits);
-        assert_eq!(job.recovery, crate::recovery::RecoveryStats::default());
-        let o = &out.stats.jobs[0];
-        assert_eq!(o.attempts, 1);
-        assert_eq!(o.wait(), Time::ZERO);
-        assert_eq!(o.response(), dedicated.exec_time);
-        assert_eq!(o.dedicated, dedicated.exec_time);
-        assert_eq!(out.stats.makespan, dedicated.exec_time);
+        use crate::canon::WorkloadId;
+        use crate::experiments::Scale;
+        use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion};
+        let on_caltech = |w: Workload| (PfsConfig::caltech(w.nodes, w.os), w);
+        // A barrier-only I/O workload; every smoke workload (broadcast,
+        // gather, gopen and setiomode groups); checkpoint markers.
+        let mut rows = vec![(
+            machine(1),
+            io_workload("solo", 4, 256 << 10, Time::from_millis(10)),
+        )];
+        rows.extend(
+            WorkloadId::all()
+                .into_iter()
+                .map(|id| on_caltech(id.build(Scale::Smoke))),
+        );
+        let rec =
+            EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
+        rows.push(on_caltech(rec.workload().clone()));
+        for (cfg, w) in rows {
+            let label = format!("{} {}", w.name, w.version);
+            let dedicated = run(&w, cfg.clone(), SimOptions::default()).unwrap();
+            let stream = scripted(vec![template("solo", w)], vec![(Time::ZERO, 0)]);
+            let out = run_schedule(
+                &stream,
+                QueuePolicy::Fcfs,
+                AllocPolicy::FirstFit,
+                &FaultSchedule::empty(),
+                cfg,
+                SimOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let job = &out.per_job[0];
+            assert_eq!(job.exec_time, dedicated.exec_time, "{label}: wall clock");
+            assert_eq!(job.node_finish, dedicated.node_finish, "{label}");
+            assert_eq!(job.trace.events(), dedicated.trace.events(), "{label}");
+            assert_eq!(job.events, dedicated.events, "{label}");
+            assert_eq!(job.resilience, dedicated.resilience, "{label}");
+            assert_eq!(
+                job.checkpoint_commits, dedicated.checkpoint_commits,
+                "{label}"
+            );
+            assert_eq!(job.recovery, RecoveryStats::default(), "{label}");
+            let o = &out.stats.jobs[0];
+            assert_eq!(o.attempts, 1, "{label}");
+            assert_eq!(o.wait(), Time::ZERO, "{label}");
+            assert_eq!(o.response(), dedicated.exec_time, "{label}");
+            assert_eq!(o.dedicated, dedicated.exec_time, "{label}");
+            assert_eq!(out.stats.makespan, dedicated.exec_time, "{label}");
+        }
     }
 
     #[test]
@@ -1132,16 +976,28 @@ mod tests {
             )],
             vec![(Time::ZERO, 0)],
         );
-        assert!(matches!(
-            run_schedule(
-                &ok_stream,
-                QueuePolicy::Fcfs,
-                AllocPolicy::FirstFit,
-                &bad,
-                cfg,
-                SimOptions::default(),
-            ),
-            Err(SchedError::InvalidFaults(_))
-        ));
+        // An I/O fault in the crash schedule would be silently
+        // dropped, so it is rejected too.
+        let mut io = FaultSchedule::empty();
+        io.push(
+            Time::from_millis(1),
+            FaultKind::IonCrash {
+                ion: 0,
+                restart: Time::from_secs(1),
+            },
+        );
+        for crashes in [bad, io] {
+            assert!(matches!(
+                run_schedule(
+                    &ok_stream,
+                    QueuePolicy::Fcfs,
+                    AllocPolicy::FirstFit,
+                    &crashes,
+                    cfg.clone(),
+                    SimOptions::default(),
+                ),
+                Err(SchedError::InvalidFaults(_))
+            ));
+        }
     }
 }

@@ -5,12 +5,19 @@
 //! I/O operation in a [`TraceRecorder`] exactly as Pablo's
 //! instrumentation library did: issue time, client-observed duration,
 //! size, offset, node and operation kind.
+//!
+//! The statement interpreter, `Gang`, is shared with the multi-job
+//! scheduler in [`crate::schedule`]: both event loops step their
+//! processes through it.
 
 use sioscope_machine::MeshModel;
-use sioscope_pfs::{BackendConfig, BackendStats, PfsError, ResilienceStats, StorageBackend};
+use sioscope_pfs::{
+    BackendConfig, BackendStats, Completion, PfsError, ResilienceStats, StorageBackend,
+};
 use sioscope_sim::{EventQueue, FileId, Pid, RendezvousOutcome, RendezvousTable, Time};
 use sioscope_trace::{IoEvent, TraceRecorder};
 use sioscope_workloads::{Stmt, Workload};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Simulation options.
@@ -174,12 +181,209 @@ enum Ev {
     FaultTransition,
 }
 
+/// One process's interpreter state.
+#[derive(Default)]
 struct NodeState {
     pc: usize,
     issue_time: Time,
     collective_seq: u32,
     finished: bool,
     finish_time: Time,
+}
+
+/// State one event loop shares across every gang it steps.
+pub(crate) struct LoopState<'m> {
+    mesh: &'m MeshModel,
+    collectives: RendezvousTable,
+    /// One completion buffer reused across every submission — the
+    /// event loop issues millions of ops per run, and `submit`'s
+    /// per-call vector was the hottest allocation in a profile.
+    completions: Vec<Completion>,
+    collective_overhead: Time,
+}
+
+impl<'m> LoopState<'m> {
+    pub(crate) fn new(mesh: &'m MeshModel, options: &SimOptions) -> Self {
+        LoopState {
+            mesh,
+            collectives: RendezvousTable::new(),
+            completions: Vec::new(),
+            collective_overhead: options.collective_overhead,
+        }
+    }
+}
+
+/// The statement interpreter for one gang of SPMD processes: a
+/// dedicated run's whole workload, or one attempt of one scheduled
+/// job. Both event loops step their processes through it.
+///
+/// Local pid `p` submits as global pid `pid_base + p`, local file `f`
+/// is global file `file_base + f`, and the gang's `seq`-th collective
+/// meets under rendezvous key `key_base | seq`. The trace and the
+/// checkpoint commits are recorded in local coordinates.
+#[derive(Default)]
+pub(crate) struct Gang {
+    nodes: Vec<NodeState>,
+    unfinished: usize,
+    trace: TraceRecorder,
+    /// Latest instant any node passed each checkpoint marker.
+    commits: BTreeMap<u32, Time>,
+    pub(crate) pid_base: u32,
+    pub(crate) file_base: u32,
+    key_base: u64,
+}
+
+impl Gang {
+    pub(crate) fn new(nodes: u32, pid_base: u32, file_base: u32, key_base: u64) -> Gang {
+        Gang {
+            nodes: (0..nodes).map(|_| NodeState::default()).collect(),
+            unfinished: nodes as usize,
+            trace: TraceRecorder::new(),
+            commits: BTreeMap::new(),
+            pid_base,
+            file_base,
+            key_base,
+        }
+    }
+
+    /// The finished gang's result in local coordinates: wall clock
+    /// from `start` to the last node's finish, the sorted trace, and
+    /// every checkpoint commit durable at its commit instant. Backend
+    /// and recovery accounting are left for the caller to fill in.
+    pub(crate) fn result(&mut self, workload: &Workload, start: Time, events: u64) -> RunResult {
+        let node_finish: Vec<Time> = self.nodes.iter().map(|s| s.finish_time).collect();
+        let end = node_finish.iter().copied().fold(Time::ZERO, Time::max);
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.sort();
+        let commits: Vec<(u32, Time)> = self.commits.iter().map(|(&k, &t)| (k, t)).collect();
+        RunResult {
+            name: workload.name.clone(),
+            version: workload.version.clone(),
+            exec_time: end.saturating_sub(start),
+            node_finish,
+            trace,
+            events,
+            resilience: ResilienceStats::default(),
+            fault_transitions: 0,
+            durable_commits: commits.clone(),
+            checkpoint_commits: commits,
+            recovery: crate::recovery::RecoveryStats::default(),
+            backend_stats: BackendStats::default(),
+        }
+    }
+
+    /// Local pids whose programs have not run to completion.
+    fn stuck(&self) -> Vec<Pid> {
+        (0..self.nodes.len())
+            .filter(|&i| !self.nodes[i].finished)
+            .map(|i| Pid(i as u32))
+            .collect()
+    }
+
+    /// Run local process `pid`'s next statement at `now`, handing
+    /// every process it wakes to `resume(t, local_pid)` in wake order.
+    /// Returns `Ok(true)` when this step finished the gang's last
+    /// process; a rejected I/O call returns its statement index.
+    pub(crate) fn step<B: StorageBackend + ?Sized>(
+        &mut self,
+        now: Time,
+        pid: Pid,
+        workload: &Workload,
+        backend: &mut B,
+        shared: &mut LoopState<'_>,
+        mut resume: impl FnMut(Time, Pid),
+    ) -> Result<bool, (usize, PfsError)> {
+        let state = &mut self.nodes[pid.index()];
+        debug_assert!(!state.finished, "{pid} resumed after finishing");
+        let program = &workload.programs[pid.index()];
+
+        if state.pc >= program.len() {
+            state.finished = true;
+            state.finish_time = now;
+            self.unfinished -= 1;
+            return Ok(self.unfinished == 0);
+        }
+        let stmt_idx = state.pc;
+        state.pc += 1;
+
+        match &program[stmt_idx] {
+            Stmt::Compute(d) => resume(now + *d, pid),
+            Stmt::Io { file, op } => {
+                state.issue_time = now;
+                let global = Pid(self.pid_base + pid.0);
+                let fid = FileId(self.file_base + *file);
+                shared.completions.clear();
+                // `Ok(false)` pushes nothing: the caller blocked in a
+                // forming group, and the group-closing arrival's
+                // submit call delivers its completion.
+                backend
+                    .submit_into(now, global, fid, op, &mut shared.completions)
+                    .map_err(|source| (stmt_idx, source))?;
+                for c in shared.completions.drain(..) {
+                    // Group completions only span this gang's pids
+                    // (its files are private to it).
+                    let local = Pid(c.pid.0 - self.pid_base);
+                    let issued = self.nodes[local.index()].issue_time;
+                    self.trace.record(IoEvent {
+                        pid: local,
+                        file: FileId(*file),
+                        kind: c.kind,
+                        start: issued,
+                        duration: c.finish.saturating_sub(issued),
+                        bytes: c.bytes,
+                        offset: c.offset,
+                        mode: c.mode,
+                    });
+                    resume(c.finish.max(now), local);
+                }
+            }
+            Stmt::CheckpointCommit(k) => {
+                // Zero-cost: the commit writes are the ordinary Io
+                // statements preceding the marker. Record the latest
+                // instant any node passes it and continue immediately.
+                let slot = self.commits.entry(*k).or_insert(Time::ZERO);
+                *slot = (*slot).max(now);
+                resume(now, pid);
+            }
+            collective @ (Stmt::Barrier | Stmt::Broadcast { .. } | Stmt::Gather { .. }) => {
+                let seq = state.collective_seq;
+                state.collective_seq += 1;
+                let key = self.key_base | u64::from(seq);
+                let n = workload.nodes;
+                if let RendezvousOutcome::Complete { arrivals, release } =
+                    shared.collectives.arrive(key, pid, now, n as usize)
+                {
+                    let base = release + shared.collective_overhead;
+                    let mesh = shared.mesh;
+                    // `(root, root's resume, everyone else's resume)`.
+                    let (root, root_t, t) = match collective {
+                        Stmt::Barrier => (None, base, base),
+                        Stmt::Broadcast { bytes, .. } => {
+                            let t = base + mesh.broadcast_time(n, *bytes);
+                            (None, t, t)
+                        }
+                        // Senders finish after their own message; the
+                        // root collects the reduction tree's worth of
+                        // data.
+                        Stmt::Gather {
+                            root,
+                            bytes_per_node,
+                        } => (
+                            Some(Pid(*root)),
+                            base + mesh.broadcast_time(n, *bytes_per_node),
+                            base + mesh.message_time_hops(*bytes_per_node, mesh.diameter() / 2),
+                        ),
+                        _ => unreachable!(),
+                    };
+                    for (p, _) in arrivals {
+                        let at = if Some(p) == root { root_t } else { t };
+                        resume(at.max(now), p);
+                    }
+                }
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Run `workload` against the storage tier `cfg` selects; a bare
@@ -229,25 +433,9 @@ fn run_loop(
         debug_assert_eq!(id.index(), i);
     }
 
-    let n = workload.nodes as usize;
-    let mut nodes: Vec<NodeState> = (0..n)
-        .map(|_| NodeState {
-            pc: 0,
-            issue_time: Time::ZERO,
-            collective_seq: 0,
-            finished: false,
-            finish_time: Time::ZERO,
-        })
-        .collect();
+    let mut gang = Gang::new(workload.nodes, 0, 0, 0);
+    let mut shared = LoopState::new(mesh, options);
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut collectives = RendezvousTable::new();
-    let mut trace = TraceRecorder::new();
-    let mut checkpoint_commits: std::collections::BTreeMap<u32, Time> =
-        std::collections::BTreeMap::new();
-    // One completion buffer reused across every submission — the event
-    // loop issues millions of ops per run, and `submit`'s per-call
-    // vector was the hottest allocation in a profile.
-    let mut completions = Vec::new();
 
     // Interleave the fault calendar with the event calendar: one
     // event per fault-window boundary. A schedule that does not
@@ -259,15 +447,14 @@ fn run_loop(
     }
 
     // Kick every node off at t = 0.
-    for pid in 0..n {
-        queue.schedule(Time::ZERO, Ev::Resume(Pid(pid as u32)));
+    for pid in 0..workload.nodes {
+        queue.schedule(Time::ZERO, Ev::Resume(Pid(pid)));
     }
 
     while let Some(ev) = queue.pop() {
         if options.max_events > 0 && queue.popped() > options.max_events {
             return Err(SimError::EventBudgetExceeded(queue.popped()));
         }
-        let now = ev.time;
         let pid = match ev.payload {
             Ev::Resume(pid) => pid,
             Ev::FaultTransition => {
@@ -275,120 +462,14 @@ fn run_loop(
                 continue;
             }
         };
-        let state = &mut nodes[pid.index()];
-        debug_assert!(!state.finished, "{pid} resumed after finishing");
-        let program = &workload.programs[pid.index()];
-
-        if state.pc >= program.len() {
-            state.finished = true;
-            state.finish_time = now;
-            continue;
-        }
-        let stmt_idx = state.pc;
-        state.pc += 1;
-
-        match &program[stmt_idx] {
-            Stmt::Compute(d) => {
-                queue.schedule(now + *d, Ev::Resume(pid));
-            }
-            Stmt::Io { file, op } => {
-                let fid = FileId(*file);
-                nodes[pid.index()].issue_time = now;
-                completions.clear();
-                match backend.submit_into(now, pid, fid, op, &mut completions) {
-                    Ok(true) => {
-                        for c in completions.drain(..) {
-                            let issued = nodes[c.pid.index()].issue_time;
-                            trace.record(IoEvent {
-                                pid: c.pid,
-                                file: fid,
-                                kind: c.kind,
-                                start: issued,
-                                duration: c.finish.saturating_sub(issued),
-                                bytes: c.bytes,
-                                offset: c.offset,
-                                mode: c.mode,
-                            });
-                            queue.schedule(c.finish.max(now), Ev::Resume(c.pid));
-                        }
-                    }
-                    Ok(false) => {
-                        // Blocked: completion arrives via the
-                        // group-closing arrival's submit call.
-                    }
-                    Err(source) => {
-                        return Err(SimError::Pfs {
-                            pid,
-                            stmt: stmt_idx,
-                            source,
-                        });
-                    }
-                }
-            }
-            Stmt::CheckpointCommit(k) => {
-                // Zero-cost: the commit writes are the ordinary Io
-                // statements preceding the marker. Record the latest
-                // instant any node passes it and continue immediately.
-                let slot = checkpoint_commits.entry(*k).or_insert(Time::ZERO);
-                *slot = (*slot).max(now);
-                queue.schedule(now, Ev::Resume(pid));
-            }
-            collective @ (Stmt::Barrier | Stmt::Broadcast { .. } | Stmt::Gather { .. }) => {
-                let seq = nodes[pid.index()].collective_seq;
-                nodes[pid.index()].collective_seq += 1;
-                // Collective keys are global (all nodes execute the
-                // same collective sequence).
-                match collectives.arrive(u64::from(seq), pid, now, n) {
-                    RendezvousOutcome::Waiting => {}
-                    RendezvousOutcome::Complete { arrivals, release } => {
-                        let base = release + options.collective_overhead;
-                        match collective {
-                            Stmt::Barrier => {
-                                for (p, _) in arrivals {
-                                    queue.schedule(base.max(now), Ev::Resume(p));
-                                }
-                            }
-                            Stmt::Broadcast { bytes, .. } => {
-                                let t = base + mesh.broadcast_time(workload.nodes, *bytes);
-                                for (p, _) in arrivals {
-                                    queue.schedule(t.max(now), Ev::Resume(p));
-                                }
-                            }
-                            Stmt::Gather {
-                                root,
-                                bytes_per_node,
-                            } => {
-                                // Senders finish after their own
-                                // message; the root collects the
-                                // reduction tree's worth of data.
-                                let root_pid = Pid(*root);
-                                let gather_t =
-                                    base + mesh.broadcast_time(workload.nodes, *bytes_per_node);
-                                for (p, _) in arrivals {
-                                    let t = if p == root_pid {
-                                        gather_t
-                                    } else {
-                                        base + mesh
-                                            .message_time_hops(*bytes_per_node, mesh.diameter() / 2)
-                                    };
-                                    queue.schedule(t.max(now), Ev::Resume(p));
-                                }
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-            }
-        }
+        gang.step(ev.time, pid, workload, backend, &mut shared, |t, p| {
+            queue.schedule(t, Ev::Resume(p));
+        })
+        .map_err(|(stmt, source)| SimError::Pfs { pid, stmt, source })?;
     }
 
     // Wind-down: every program must have run to completion.
-    let stuck: Vec<Pid> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.finished)
-        .map(|(i, _)| Pid(i as u32))
-        .collect();
+    let stuck = gang.stuck();
     if !stuck.is_empty() {
         return Err(SimError::Deadlock {
             stuck,
@@ -396,33 +477,22 @@ fn run_loop(
         });
     }
 
-    trace.sort();
-    let node_finish: Vec<Time> = nodes.iter().map(|s| s.finish_time).collect();
-    let exec_time = node_finish.iter().copied().fold(Time::ZERO, Time::max);
+    let mut result = gang.result(workload, Time::ZERO, queue.popped());
     // Flush background work (burst-buffer drains) so the stats are
     // final; the drain instant lands in `backend_stats`, not in the
     // foreground `exec_time`.
-    backend.quiesce(exec_time);
+    backend.quiesce(result.exec_time);
     // Durability verdicts, queried in commit order (the cursor
     // contract: each query covers the window since the last).
-    let durable_commits: Vec<(u32, Time)> = checkpoint_commits
+    result.durable_commits = result
+        .checkpoint_commits
         .iter()
-        .map(|(&k, &t)| (k, backend.durable_instant(t)))
+        .map(|&(k, t)| (k, backend.durable_instant(t)))
         .collect();
-    Ok(RunResult {
-        name: workload.name.clone(),
-        version: workload.version.clone(),
-        exec_time,
-        node_finish,
-        trace,
-        events: queue.popped(),
-        resilience: backend.resilience_stats(),
-        fault_transitions,
-        checkpoint_commits: checkpoint_commits.into_iter().collect(),
-        durable_commits,
-        recovery: crate::recovery::RecoveryStats::default(),
-        backend_stats: backend.stats(),
-    })
+    result.resilience = backend.resilience_stats();
+    result.fault_transitions = fault_transitions;
+    result.backend_stats = backend.stats();
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
-use sioscope_analysis::interarrival::per_process;
+use sioscope_analysis::interarrival::per_process_indexed;
 use sioscope_analysis::{BandwidthSeries, Cdf};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
@@ -27,14 +27,14 @@ fn execute(w: &Workload) -> RunResult {
 }
 
 fn row(name: &str, r: &RunResult) {
-    let events = r.trace.events();
-    let ias = per_process(events);
+    let index = r.trace.index();
+    let ias = per_process_indexed(index);
     let median_cv = {
         let mut cvs: Vec<f64> = ias.values().map(|ia| ia.cv).collect();
         cvs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         cvs.get(cvs.len() / 2).copied().unwrap_or(0.0)
     };
-    let bw = BandwidthSeries::build(events, Time::from_secs(10));
+    let bw = BandwidthSeries::from_index(index, Time::from_secs(10));
     let reads = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
     let writes = Cdf::from_samples(r.trace.sizes_of(OpKind::Write));
     let span = |c: &Cdf| -> String {

@@ -21,6 +21,7 @@ use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 fn characterize(r: &RunResult) {
     println!("=== {} ===", r.name);
     let events = r.trace.events();
+    let index = r.trace.index();
 
     // Dimension 1: request size.
     let reads = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
@@ -35,9 +36,9 @@ fn characterize(r: &RunResult) {
     );
 
     // Dimension 2: I/O parallelism.
-    let conc = ConcurrencyProfile::build(events);
-    let bal = NodeBalance::build(events);
-    let writes = NodeBalance::build_filtered(events, |e| e.kind == OpKind::Write);
+    let conc = ConcurrencyProfile::from_index(index);
+    let bal = NodeBalance::from_index(index);
+    let writes = NodeBalance::of_kind(index, OpKind::Write);
     println!(
         "  parallelism : peak {} concurrent calls, {:.1} mean while active; gini {:.2} over {} nodes",
         conc.peak,
@@ -51,7 +52,7 @@ fn characterize(r: &RunResult) {
     );
 
     // Dimension 3: access modes.
-    let modes = ModeUsage::build(events);
+    let modes = ModeUsage::from_index(index);
     println!(
         "  modes       : {} used; most time in {}, most bytes via {}",
         modes.used_modes().len(),
@@ -66,7 +67,7 @@ fn characterize(r: &RunResult) {
         .iter()
         .map(|(label, (bytes, _))| format!("{label}: {:.1} MB", *bytes as f64 / 1e6))
         .collect();
-    let bw = BandwidthSeries::build(events, Time::from_secs(10));
+    let bw = BandwidthSeries::from_index(index, Time::from_secs(10));
     println!("  classes     : {}", mix.join(", "));
     println!(
         "  temporality : burstiness {:.1} (peak/mean), duty cycle {:.0}%\n",

@@ -12,8 +12,8 @@ pub mod prelude {
     pub use sioscope::simulator::{run, RunResult, SimError, SimOptions};
     pub use sioscope::sweeps;
     pub use sioscope_analysis::{
-        classify_all, detect_phases, BandwidthSeries, Cdf, ConcurrencyProfile, Evolution, IoClass,
-        LogHistogram, ModeUsage, NodeBalance, Timeline,
+        classify_all, detect_phases_indexed, BandwidthSeries, Cdf, ConcurrencyProfile, Evolution,
+        IoClass, LogHistogram, ModeUsage, NodeBalance, Timeline,
     };
     pub use sioscope_machine::MachineConfig;
     pub use sioscope_pfs::{IoMode, IoOp, OpKind, Pfs, PfsConfig, PolicyConfig};

@@ -255,7 +255,7 @@ fn phase_detection_recovers_prism_structure() {
     let w = PrismConfig::test_problem(PrismVersion::A).build();
     let cfg = PfsConfig::caltech(w.nodes, w.os);
     let r = run(&w, cfg, SimOptions::default()).expect("runs");
-    let phases = sioscope_analysis::detect_phases(r.trace.events(), Time::from_secs(40));
+    let phases = sioscope_analysis::detect_phases_indexed(r.trace.index(), Time::from_secs(40));
     assert!(
         phases.len() >= 3,
         "expected at least 3 phases, got {}",
