@@ -5,11 +5,12 @@
 //! serialized to `tests/golden/<id>.json`; the underlying `RunResult`s
 //! (exact nanosecond times, event counts, per-node finish times and a
 //! digest of the full I/O trace) go to `tests/golden/runs-escat.json`
-//! and `tests/golden/runs-prism.json`. The comparison is **string
-//! equality on the serialized JSON** — one nanosecond of drift anywhere
-//! fails the suite, which is exactly the guarantee an optimization pass
-//! needs: the refactored simulator must be *bit-identical*, not merely
-//! "still passes the shape checks".
+//! and `tests/golden/runs-prism.json`; every registered sweep's table
+//! and per-point numbers go to `tests/golden/sweep-<id>.json`. The
+//! comparison is **string equality on the serialized JSON** — one
+//! nanosecond of drift anywhere fails the suite, which is exactly the
+//! guarantee an optimization pass needs: the refactored simulator must
+//! be *bit-identical*, not merely "still passes the shape checks".
 //!
 //! Workflow:
 //!
@@ -215,5 +216,35 @@ fn prism_run_results_match_goldens_bit_exact() {
         &pretty(&Json::Object(runs)),
         &mut failures,
     );
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn registry_sweeps_match_goldens_bit_exact() {
+    use sioscope::sweeps::{run_sweep, SweepId};
+    let dir = golden_dir();
+    let mut failures = Vec::new();
+    for id in SweepId::all() {
+        let sweep = run_sweep(id, Scale::Smoke);
+        let points = sweep.points.iter().map(|p| {
+            Json::obj(vec![
+                ("label", text(&p.label)),
+                ("value", Json::UInt(p.value)),
+                ("exec_time_ns", Json::UInt(p.exec_time.as_nanos())),
+                ("io_time_ns", Json::UInt(p.io_time.as_nanos())),
+                ("events", Json::UInt(p.events)),
+            ])
+        });
+        let value = Json::obj(vec![
+            ("id", text(id.id())),
+            ("rendered", text(&sweep.render())),
+            ("points", Json::Array(points.collect())),
+        ]);
+        check_snapshot(
+            &dir.join(format!("sweep-{}.json", id.id())),
+            &pretty(&value),
+            &mut failures,
+        );
+    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
