@@ -10,10 +10,9 @@ use sioscope_pfs::mode::OsRelease;
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
 use sioscope_workloads::{EscatConfig, EscatDataset, EscatVersion, Workload};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
-use super::Experiment;
+use super::{Experiment, RunCache};
 
 /// The PFS configuration ESCAT experiments run against (the Caltech
 /// machine; the OS release follows the workload version).
@@ -29,42 +28,17 @@ fn config(version: EscatVersion, dataset: EscatDataset, scale: Scale) -> EscatCo
     }
 }
 
-type RunKey = (EscatVersion, EscatDataset, Scale);
-
-/// The memoized runs, locked. A poisoned lock is recovered: a run
-/// executes outside the lock and the map is only ever touched by whole
-/// `get`/`insert`/`clear` calls, so a panicking run (which campaign
-/// isolates with `catch_unwind`) cannot leave it half-updated.
-fn run_cache() -> MutexGuard<'static, HashMap<RunKey, Arc<RunResult>>> {
-    static CACHE: OnceLock<Mutex<HashMap<RunKey, Arc<RunResult>>>> = OnceLock::new();
-    CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Drop every memoized ESCAT run (benchmarks use this to time cold runs).
-pub fn clear_cache() {
-    run_cache().clear();
-}
+/// The memoized ESCAT runs.
+pub(super) static RUNS: RunCache<(EscatVersion, EscatDataset, Scale)> = RunCache::new();
 
 /// Run (and memoize) one ESCAT version at a given scale.
 pub fn run_version(version: EscatVersion, dataset: EscatDataset, scale: Scale) -> Arc<RunResult> {
-    if let Some(hit) = run_cache().get(&(version, dataset, scale)) {
-        return Arc::clone(hit);
-    }
-    let cfg = config(version, dataset, scale);
-    let workload = cfg.build();
-    let pfs = PfsConfig::caltech(workload.nodes, workload.os);
-    let result = run(&workload, pfs, SimOptions::default())
-        .unwrap_or_else(|e| panic!("ESCAT {version:?}/{dataset:?} failed: {e}"));
-    let arc = Arc::new(result);
-    // Warm the trace's columnar index outside the cache lock: every
-    // figure/table renderer below queries the same memoized run, so
-    // they all share this one build instead of scanning per query.
-    arc.trace.index();
-    run_cache().insert((version, dataset, scale), Arc::clone(&arc));
-    arc
+    RUNS.get_or_run((version, dataset, scale), || {
+        let workload = config(version, dataset, scale).build();
+        let pfs = PfsConfig::caltech(workload.nodes, workload.os);
+        run(&workload, pfs, SimOptions::default())
+            .unwrap_or_else(|e| panic!("ESCAT {version:?}/{dataset:?} failed: {e}"))
+    })
 }
 
 fn render_phase_table(title: &str, workloads: &[Workload]) -> String {

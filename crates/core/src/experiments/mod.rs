@@ -47,8 +47,12 @@ pub mod resilience;
 pub mod shape;
 pub mod stream;
 
+use crate::simulator::RunResult;
 pub use shape::ShapeCheck;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Every reproducible artifact of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -274,6 +278,50 @@ impl ExperimentOutput {
     }
 }
 
+/// A process-wide memo of simulated runs keyed by `K`, held in a
+/// `static` by each application's experiment module.
+pub(crate) struct RunCache<K>(OnceLock<Mutex<HashMap<K, Arc<RunResult>>>>);
+
+impl<K: Eq + Hash> RunCache<K> {
+    pub(crate) const fn new() -> Self {
+        RunCache(OnceLock::new())
+    }
+
+    /// The memoized runs, locked. A poisoned lock is recovered: a run
+    /// executes outside the lock and the map is only ever touched by
+    /// whole `get`/`insert`/`clear` calls, so a panicking run (which
+    /// campaign isolates with `catch_unwind`) cannot leave it
+    /// half-updated.
+    fn map(&self) -> MutexGuard<'_, HashMap<K, Arc<RunResult>>> {
+        self.0
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The run memoized under `key`, or `simulate`'s result, which is
+    /// then memoized. The simulation and the warm-up of the trace's
+    /// columnar index both happen outside the lock; every figure and
+    /// table renderer querying the run shares that one index build.
+    pub(crate) fn get_or_run(
+        &self,
+        key: K,
+        simulate: impl FnOnce() -> RunResult,
+    ) -> Arc<RunResult> {
+        if let Some(hit) = self.map().get(&key) {
+            return Arc::clone(hit);
+        }
+        let run = Arc::new(simulate());
+        run.trace.index();
+        self.map().insert(key, Arc::clone(&run));
+        run
+    }
+
+    fn clear(&self) {
+        self.map().clear();
+    }
+}
+
 /// Drop every memoized workload run.
 ///
 /// Experiments share simulated runs through per-application memoization
@@ -282,8 +330,8 @@ impl ExperimentOutput {
 /// the registry call this between iterations; ordinary callers never
 /// need it.
 pub fn clear_run_caches() {
-    escat::clear_cache();
-    prism::clear_cache();
+    escat::RUNS.clear();
+    prism::RUNS.clear();
 }
 
 /// Run one experiment at the given scale.

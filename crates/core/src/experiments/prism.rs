@@ -1,6 +1,6 @@
 //! PRISM experiments: Table 4, Figures 6–9, Table 5.
 
-use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
+use crate::experiments::{Experiment, ExperimentOutput, RunCache, Scale, ShapeCheck};
 use crate::paper;
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::plot;
@@ -11,7 +11,7 @@ use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
 use sioscope_workloads::{PrismConfig, PrismVersion, Workload};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// The PFS configuration PRISM experiments run against.
 pub fn pfs_config(nodes: u32) -> PfsConfig {
@@ -25,41 +25,17 @@ fn config(version: PrismVersion, scale: Scale) -> PrismConfig {
     }
 }
 
-type RunKey = (PrismVersion, Scale);
-
-/// The memoized runs, locked. A poisoned lock is recovered: a run
-/// executes outside the lock and the map is only ever touched by whole
-/// `get`/`insert`/`clear` calls, so a panicking run (which campaign
-/// isolates with `catch_unwind`) cannot leave it half-updated.
-fn run_cache() -> MutexGuard<'static, HashMap<RunKey, Arc<RunResult>>> {
-    static CACHE: OnceLock<Mutex<HashMap<RunKey, Arc<RunResult>>>> = OnceLock::new();
-    CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Drop every memoized PRISM run (benchmarks use this to time cold runs).
-pub fn clear_cache() {
-    run_cache().clear();
-}
+/// The memoized PRISM runs.
+pub(super) static RUNS: RunCache<(PrismVersion, Scale)> = RunCache::new();
 
 /// Run (and memoize) one PRISM version at a given scale.
 pub fn run_version(version: PrismVersion, scale: Scale) -> Arc<RunResult> {
-    if let Some(hit) = run_cache().get(&(version, scale)) {
-        return Arc::clone(hit);
-    }
-    let cfg = config(version, scale);
-    let workload = cfg.build();
-    let pfs = PfsConfig::caltech(workload.nodes, workload.os);
-    let result = run(&workload, pfs, SimOptions::default())
-        .unwrap_or_else(|e| panic!("PRISM {version:?} failed: {e}"));
-    let arc = Arc::new(result);
-    // Warm the trace's columnar index outside the cache lock (shared
-    // by every figure/table renderer hitting this memoized run).
-    arc.trace.index();
-    run_cache().insert((version, scale), Arc::clone(&arc));
-    arc
+    RUNS.get_or_run((version, scale), || {
+        let workload = config(version, scale).build();
+        let pfs = PfsConfig::caltech(workload.nodes, workload.os);
+        run(&workload, pfs, SimOptions::default())
+            .unwrap_or_else(|e| panic!("PRISM {version:?} failed: {e}"))
+    })
 }
 
 /// Table 4 — node activity and access modes per phase and version

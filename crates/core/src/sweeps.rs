@@ -5,7 +5,13 @@
 //! architectures on I/O performance."* These sweeps re-run a paper
 //! workload while varying one machine parameter at a time, reporting
 //! execution time and total client-observed I/O time per point.
+//!
+//! Each sweep is data: a [`SweepId`] with its canonical grid, and a
+//! point function from one value to one run. One driver maps, sorts
+//! and dedups the points. [`run_sweep`] uses the canonical grid and
+//! base; [`sweep`], [`machine_sweep`] and [`checkpoint_sweep`] do not.
 
+use crate::canon::WorkloadId;
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
@@ -19,10 +25,17 @@ use sioscope_sched::QueuePolicy;
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
 use sioscope_workloads::{
-    CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Recoverable,
-    StreamCadence, Workload,
+    CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload,
 };
 use std::fmt::Write as _;
+
+/// Seed of the fault stream behind the `fault_intensity` sweep.
+const FAULT_SEED: u64 = 0xF417;
+/// Seed of the compute-crash stream behind the `mtbf` sweep.
+const MTBF_SEED: u64 = 0x4EC0;
+/// Seed of the crash and burst-fault streams shared by the three
+/// checkpoint-interval sweeps (see [`CrashEnv::seeded`]).
+const CHECKPOINT_SEED: u64 = 0x0C7;
 
 /// Every machine-configuration sweep, as a stable identifier.
 ///
@@ -85,6 +98,31 @@ impl SweepId {
     /// Parse an identifier.
     pub fn from_id(id: &str) -> Option<SweepId> {
         SweepId::all().into_iter().find(|s| s.id() == id)
+    }
+
+    /// The canonical parameter values, in the unit each point reports
+    /// as its `value`: I/O nodes, stripe bytes, disk MB/s, degraded
+    /// arrays, fault events, MTBF and offered load as percentages of
+    /// their reference, checkpoint steps. `staging_depth` flattens its
+    /// two axes (queue depth in KiB, `0` = unbounded, × consumer speed
+    /// in percent) into `depth_kib * 1000 + speed_pct`.
+    pub fn grid(self) -> &'static [u32] {
+        use SweepId::*;
+        match self {
+            IoNodes => &[2, 4, 8, 16, 32],
+            StripeUnit => &[16 << 10, 64 << 10, 256 << 10],
+            DiskBandwidth => &[2, 8, 32],
+            DegradedArrays => &[0, 4, 8],
+            FaultIntensity => &[0, 2, 4, 8],
+            Mtbf | LoadFactor => &[25, 50, 100, 200, 400],
+            CheckpointInterval | CheckpointIntervalBurst | CheckpointIntervalBurstCrash => {
+                &[1, 2, 5, 10, 25, 125, 250, 625]
+            }
+            StagingDepth => &[
+                16_050, 16_100, 16_200, 64_050, 64_100, 64_200, 512_050, 512_100, 512_200, 50, 100,
+                200,
+            ],
+        }
     }
 }
 
@@ -176,369 +214,176 @@ impl Sweep {
     }
 }
 
-fn run_point(workload: &Workload, cfg: PfsConfig, label: String, value: u64) -> SweepPoint {
-    let r: RunResult = run(workload, cfg, SimOptions::default())
-        .unwrap_or_else(|e| panic!("sweep point {label}: {e}"));
-    SweepPoint {
-        label,
-        value,
-        exec_time: r.exec_time,
-        io_time: r.total_io_time(),
-        events: r.events,
-    }
-}
-
-/// Vary the number of I/O nodes (the paper's headline example of a
-/// configuration study). Each point re-runs `workload` with the same
-/// compute partition but `n` I/O nodes/disk arrays.
-pub fn io_node_sweep(workload: &Workload, io_nodes: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = io_nodes
-        .iter()
-        .map(|&n| {
-            let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
-            cfg.machine.io_nodes = n;
-            run_point(workload, cfg, format!("io_nodes={n}"), u64::from(n))
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "io_nodes",
-        workload: workload.name.clone(),
-        points,
-    }
-}
-
-/// Vary the PFS stripe unit. Request sizes that were tuned to the
-/// 64 KB default (ESCAT's 128 KB M_RECORD reads) stop being
-/// stripe-multiples at other units — quantifying how tightly the
-/// paper's applications were coupled to one file-system constant
-/// (§6.2: "optimizations are closely tied to the idiosyncrasies of
-/// the parallel I/O system").
-pub fn stripe_sweep(workload: &Workload, units: &[u64]) -> Sweep {
-    let mut points: Vec<SweepPoint> = units
-        .iter()
-        .map(|&u| {
-            let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
-            cfg.stripe_unit = u;
-            run_point(workload, cfg, format!("stripe={}K", u >> 10), u)
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "stripe_unit",
-        workload: workload.name.clone(),
-        points,
-    }
-}
-
-/// Vary the disk array bandwidth (architecture generations).
-pub fn disk_bandwidth_sweep(workload: &Workload, bandwidths_mbps: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = bandwidths_mbps
-        .iter()
-        .map(|&mbps| {
-            let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
-            cfg.machine.disk.bandwidth_bps = f64::from(mbps) * 1e6;
-            run_point(workload, cfg, format!("{mbps}MB/s"), u64::from(mbps))
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "disk_bandwidth",
-        workload: workload.name.clone(),
-        points,
-    }
-}
-
-/// Vary the number of degraded (single-spindle-failure) RAID-3
-/// arrays — failure injection at the device level. Each point is a
-/// fault schedule of permanent spindle failures at time zero, so this
-/// sweep is now a client of the `sioscope-faults` subsystem rather
-/// than a special-cased machine flag.
-pub fn degraded_array_sweep(workload: &Workload, degraded_counts: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = degraded_counts
-        .iter()
-        .map(|&k| {
-            let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
-            let ions: Vec<u32> = (0..k.min(cfg.machine.io_nodes)).collect();
-            cfg.faults = FaultSchedule::degraded_from_start(&ions);
-            run_point(workload, cfg, format!("degraded={k}"), u64::from(k))
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "degraded_arrays",
-        workload: workload.name.clone(),
-        points,
-    }
-}
-
-/// Vary the fault intensity: point `k` runs under the first `k`
-/// events of the seeded fault stream. Because the stream is drawn
-/// sequentially, intensity `k`'s scenario is a strict prefix of
-/// `k + 1`'s — each point adds faults to the previous scenario
-/// instead of rolling an unrelated one, so execution-time inflation
-/// accumulates along the axis. Fault instants and window lengths are
-/// placed as fractions of the healthy run's execution time.
-pub fn fault_intensity_sweep(workload: &Workload, intensities: &[usize], seed: u64) -> Sweep {
-    let base_cfg = PfsConfig::caltech(workload.nodes, workload.os);
-    let horizon = run(workload, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("fault sweep baseline: {e}"))
-        .exec_time;
-    let io_nodes = base_cfg.machine.io_nodes;
-    let mut points: Vec<SweepPoint> = intensities
-        .iter()
-        .map(|&k| {
-            let mut cfg = base_cfg.clone();
-            cfg.faults = FaultGen::new(seed, horizon, io_nodes)
-                .with_events(k)
-                .schedule();
-            run_point(workload, cfg, format!("faults={k}"), k as u64)
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "fault_intensity",
-        workload: workload.name.clone(),
-        points,
-    }
-}
-
-/// The crash environment shared by the recovery sweeps, derived from
-/// the fault-free baseline `b` so scenarios scale with the workload:
-/// crashes are generated over a `3.2 × b` horizon (room for several
-/// full replays) and each charges `5%` of the baseline (min 1 s) in
-/// reboot/reschedule latency.
-fn crash_environment(b: Time) -> (Time, Time) {
-    let horizon = b.scale(3.2);
-    let rework = b.scale(0.05).max(Time::from_secs(1));
-    (horizon, rework)
-}
-
-/// Vary the compute-partition MTBF, as a percentage of the fault-free
-/// execution time. For one seed the exponential inter-crash gaps scale
-/// linearly with the MTBF, so shrinking it packs strictly more crashes
-/// into the same horizon — time-to-solution inflation along the axis
-/// comes from crash density, not from re-rolled scenarios.
-pub fn mtbf_sweep(rec: &Recoverable, mtbf_percents: &[u32], seed: u64) -> Sweep {
-    let w = rec.workload();
-    let base_cfg = PfsConfig::caltech(w.nodes, w.os);
-    let baseline = run(w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("mtbf sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
-    let mut points: Vec<SweepPoint> = mtbf_percents
-        .iter()
-        .map(|&pct| {
-            let mtbf = baseline.scale(f64::from(pct) / 100.0);
-            let crashes = fgen.compute_crash_schedule(mtbf, rework, w.nodes);
-            let n = crashes.events.len();
-            let r = run_with_recovery(rec, &crashes, base_cfg.clone(), SimOptions::default())
-                .unwrap_or_else(|e| panic!("mtbf={pct}%: {e}"));
-            SweepPoint {
-                label: format!("mtbf={pct}% ({n} crashes)"),
-                value: u64::from(pct),
-                exec_time: r.recovery.time_to_solution,
-                io_time: r.total_io_time(),
-                events: r.events,
-            }
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "mtbf",
-        workload: w.name.clone(),
-        points,
-    }
-}
-
-/// Vary PRISM's checkpoint interval under one fixed crash schedule —
-/// the classic U-curve: dense checkpoints waste time committing,
-/// sparse checkpoints waste time replaying lost work, and Young's
-/// optimum sits between. Every point faces the *same* crashes
-/// (exponential with MTBF `0.8 ×` the policy-free baseline, generated
-/// once), so the axis varies only the commit cadence.
-pub fn checkpoint_interval_sweep(cfg: &PrismConfig, intervals: &[u32], seed: u64) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("checkpoint sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let crashes = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes).compute_crash_schedule(
-        baseline.scale(0.8),
-        rework,
-        baseline_w.nodes,
-    );
-    checkpoint_interval_sweep_with(cfg, intervals, &crashes)
-}
-
-/// [`checkpoint_interval_sweep`] against a caller-supplied crash
-/// schedule. Exposed so experiments and tests can place crashes at
-/// *measured* instants (e.g. just before a policy's commit) where the
-/// U-curve's right arm is provable rather than seed-dependent.
-pub fn checkpoint_interval_sweep_with(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    crashes: &FaultSchedule,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let mut points: Vec<SweepPoint> = intervals
-        .iter()
-        .map(|&interval| {
-            let snapped = cfg.snap_interval(interval);
-            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-            let r = run_with_recovery(&rec, crashes, base_cfg.clone(), SimOptions::default())
-                .unwrap_or_else(|e| panic!("interval={snapped}: {e}"));
-            SweepPoint {
-                label: format!("every {snapped} steps"),
-                value: u64::from(snapped),
-                exec_time: r.recovery.time_to_solution,
-                io_time: r.total_io_time(),
-                events: r.events,
-            }
-        })
-        .collect();
+/// The one sweep driver: run `point` at every value, then order the
+/// points by value and keep the first of any repeat (checkpoint
+/// intervals snap, so two requested values can land on one).
+fn collect(id: SweepId, name: &str, values: &[u32], point: impl Fn(u32) -> SweepPoint) -> Sweep {
+    let mut points: Vec<SweepPoint> = values.iter().map(|&v| point(v)).collect();
     points.sort_by_key(|p| p.value);
     points.dedup_by_key(|p| p.value);
     Sweep {
-        parameter: "checkpoint_interval",
-        workload: baseline_w.name.clone(),
+        parameter: id.id(),
+        workload: name.to_string(),
         points,
     }
 }
 
-/// [`checkpoint_interval_sweep`] with a burst buffer absorbing the
-/// checkpoint files. The crash environment is derived from the *same*
-/// plain-PFS baseline with the same seed, so the two sweeps face
-/// identical crash schedules and their curves are directly
-/// comparable: with commits landing in the host-side log at
-/// near-zero foreground cost, the U-curve's left arm (dense
-/// checkpoints waste time committing) collapses and the curve
-/// flattens toward its replay-bounded floor.
-pub fn checkpoint_interval_sweep_burst(cfg: &PrismConfig, intervals: &[u32], seed: u64) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("burst checkpoint sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let crashes = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes).compute_crash_schedule(
-        baseline.scale(0.8),
-        rework,
-        baseline_w.nodes,
-    );
-    checkpoint_interval_sweep_burst_with(cfg, intervals, &crashes)
+impl SweepPoint {
+    /// The point of run `r`, whose wall clock (or time to solution)
+    /// is `exec_time`.
+    fn of_run(label: String, value: u64, exec_time: Time, r: &RunResult) -> SweepPoint {
+        SweepPoint {
+            label,
+            value,
+            exec_time,
+            io_time: r.total_io_time(),
+            events: r.events,
+        }
+    }
 }
 
-/// [`checkpoint_interval_sweep_burst`] against a caller-supplied
-/// crash schedule.
-pub fn checkpoint_interval_sweep_burst_with(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    crashes: &FaultSchedule,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let mut points: Vec<SweepPoint> = intervals
-        .iter()
-        .map(|&interval| {
-            let snapped = cfg.snap_interval(interval);
-            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-            let tier = BackendConfig::Burst(BurstBufferConfig::absorbing(
-                base_cfg.clone(),
-                rec.checkpoint_files().to_vec(),
-            ));
-            let r = run_with_recovery(&rec, crashes, tier, SimOptions::default())
-                .unwrap_or_else(|e| panic!("burst interval={snapped}: {e}"));
-            SweepPoint {
-                label: format!("every {snapped} steps"),
-                value: u64::from(snapped),
-                exec_time: r.recovery.time_to_solution,
-                io_time: r.total_io_time(),
-                events: r.events,
+/// Execution time of the healthy, fault-free run of `workload`.
+fn baseline_exec(workload: &Workload, cfg: &PfsConfig) -> Time {
+    run(workload, cfg.clone(), SimOptions::default())
+        .unwrap_or_else(|e| panic!("sweep baseline {}: {e}", workload.name))
+        .exec_time
+}
+
+/// Sweep one of the five PFS axes over `workload` on the Caltech
+/// machine:
+///
+/// - `io_nodes`: I/O nodes behind the same compute partition.
+/// - `stripe_unit`: request sizes tuned to the 64 KB default (ESCAT's
+///   128 KB M_RECORD reads) stop being stripe multiples at other units
+///   (§6.2: "optimizations are closely tied to the idiosyncrasies of
+///   the parallel I/O system").
+/// - `disk_bandwidth`: disk array MB/s (architecture generations).
+/// - `degraded_arrays`: arrays with a spindle failed from time zero.
+/// - `fault_intensity`: the first `k` events of one seeded fault stream
+///   placed over the healthy run, so each point's scenario is a prefix
+///   of the next and inflation accumulates instead of being re-rolled.
+///
+/// Panics if `id` is another axis or a run fails.
+pub fn machine_sweep(id: SweepId, workload: &Workload, values: &[u32]) -> Sweep {
+    use SweepId::*;
+    let base = PfsConfig::caltech(workload.nodes, workload.os);
+    let horizon = (id == FaultIntensity).then(|| baseline_exec(workload, &base));
+    collect(id, &workload.name, values, |v| {
+        let mut cfg = base.clone();
+        let label = match id {
+            IoNodes => {
+                cfg.machine.io_nodes = v;
+                format!("io_nodes={v}")
             }
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    points.dedup_by_key(|p| p.value);
-    Sweep {
-        parameter: "checkpoint_interval_burst",
-        workload: baseline_w.name.clone(),
-        points,
-    }
-}
-
-/// [`checkpoint_interval_sweep_burst`] with *burst-tier* faults
-/// injected on top of the same compute-crash schedule: drain stalls
-/// and a burst-node crash that destroys resident (not yet drained)
-/// checkpoint bytes. A commit whose bytes died in the log is not
-/// durable — the recovery driver must roll back past it — so the
-/// flattened burst U-curve un-flattens: dense checkpointing regains
-/// value because each commit bounds how much the log can lose.
-pub fn checkpoint_interval_sweep_burst_crash(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    seed: u64,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("burst-crash checkpoint sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
-    let crashes = fgen.compute_crash_schedule(baseline.scale(0.8), rework, baseline_w.nodes);
-    // The same seeded burst-fault scenario at every point, placed over
-    // one attempt's horizon so the faults land mid-attempt.
-    let burst_faults = FaultGen::new(seed, baseline, base_cfg.machine.io_nodes)
-        .with_events(3)
-        .burst_schedule();
-    checkpoint_interval_sweep_burst_crash_with(cfg, intervals, &crashes, &burst_faults)
-}
-
-/// [`checkpoint_interval_sweep_burst_crash`] against caller-supplied
-/// compute-crash and burst-fault schedules. Exposed so tests can place
-/// a burst-node crash exactly where checkpoint bytes are resident.
-pub fn checkpoint_interval_sweep_burst_crash_with(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    crashes: &FaultSchedule,
-    burst_faults: &FaultSchedule,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let mut points: Vec<SweepPoint> = intervals
-        .iter()
-        .map(|&interval| {
-            let snapped = cfg.snap_interval(interval);
-            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-            let mut burst =
-                BurstBufferConfig::absorbing(base_cfg.clone(), rec.checkpoint_files().to_vec());
-            burst.faults = burst_faults.clone();
-            let tier = BackendConfig::Burst(burst);
-            let r = run_with_recovery(&rec, crashes, tier, SimOptions::default())
-                .unwrap_or_else(|e| panic!("burst-crash interval={snapped}: {e}"));
-            SweepPoint {
-                label: format!("every {snapped} steps"),
-                value: u64::from(snapped),
-                exec_time: r.recovery.time_to_solution,
-                io_time: r.total_io_time(),
-                events: r.events,
+            StripeUnit => {
+                cfg.stripe_unit = u64::from(v);
+                format!("stripe={}K", v >> 10)
             }
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    points.dedup_by_key(|p| p.value);
-    Sweep {
-        parameter: "checkpoint_interval_burst_crash",
-        workload: baseline_w.name.clone(),
-        points,
+            DiskBandwidth => {
+                cfg.machine.disk.bandwidth_bps = f64::from(v) * 1e6;
+                format!("{v}MB/s")
+            }
+            DegradedArrays => {
+                let ions: Vec<u32> = (0..v.min(cfg.machine.io_nodes)).collect();
+                cfg.faults = FaultSchedule::degraded_from_start(&ions);
+                format!("degraded={v}")
+            }
+            FaultIntensity => {
+                let horizon = horizon.expect("healthy baseline");
+                cfg.faults = FaultGen::new(FAULT_SEED, horizon, cfg.machine.io_nodes)
+                    .with_events(v as usize)
+                    .schedule();
+                format!("faults={v}")
+            }
+            _ => panic!("{} is not a machine sweep", id.id()),
+        };
+        let r = run(workload, cfg, SimOptions::default())
+            .unwrap_or_else(|e| panic!("sweep point {label}: {e}"));
+        SweepPoint::of_run(label, v.into(), r.exec_time, &r)
+    })
+}
+
+/// Crash horizon and restart latency scaled to the fault-free baseline
+/// `b`: `3.2 × b` leaves room for several full replays, and each crash
+/// charges `5%` of `b` (min 1 s) in reboot/reschedule latency.
+fn crash_horizon_and_rework(b: Time) -> (Time, Time) {
+    (b.scale(3.2), b.scale(0.05).max(Time::from_secs(1)))
+}
+
+/// The faults every point of a checkpoint-interval sweep faces.
+#[derive(Debug, Clone)]
+pub struct CrashEnv {
+    /// Compute-node crashes, the same at every interval.
+    pub crashes: FaultSchedule,
+    /// Burst-tier faults (drain stalls, burst-node crashes), injected
+    /// only by `checkpoint_interval_burst_crash`.
+    pub burst_faults: FaultSchedule,
+}
+
+impl CrashEnv {
+    /// The seeded environment of the registered checkpoint sweeps, from
+    /// the policy-free baseline of `cfg`: crashes with MTBF `0.8 ×` the
+    /// baseline, and three burst faults over one attempt's horizon so
+    /// they land mid-attempt. The three axes share it, so their curves
+    /// are directly comparable.
+    pub fn seeded(cfg: &PrismConfig) -> CrashEnv {
+        let w = cfg.build();
+        let pfs = PfsConfig::caltech(w.nodes, w.os);
+        let baseline = baseline_exec(&w, &pfs);
+        let (horizon, rework) = crash_horizon_and_rework(baseline);
+        let io_nodes = pfs.machine.io_nodes;
+        CrashEnv {
+            crashes: FaultGen::new(CHECKPOINT_SEED, horizon, io_nodes).compute_crash_schedule(
+                baseline.scale(0.8),
+                rework,
+                w.nodes,
+            ),
+            burst_faults: FaultGen::new(CHECKPOINT_SEED, baseline, io_nodes)
+                .with_events(3)
+                .burst_schedule(),
+        }
     }
 }
 
-/// One offered-load measurement behind [`load_factor_sweep`]: the
+/// Vary PRISM's checkpoint interval (steps, snapped to a divisor of the
+/// step count) under the crash environment `env`, reporting time to
+/// solution. The tier comes from `id`:
+///
+/// - `checkpoint_interval`: the plain PFS. The classic U-curve: dense
+///   checkpoints waste time committing, sparse ones replaying lost work.
+/// - `checkpoint_interval_burst`: a burst buffer absorbs the checkpoint
+///   files, so commits cost near nothing and the left arm collapses.
+/// - `checkpoint_interval_burst_crash`: the burst tier also suffers
+///   `env.burst_faults`. A commit whose bytes die in the log before
+///   draining is not durable, so dense checkpointing regains value.
+///
+/// Panics if `id` is another axis or a run fails.
+pub fn checkpoint_sweep(id: SweepId, cfg: &PrismConfig, steps: &[u32], env: &CrashEnv) -> Sweep {
+    use SweepId::*;
+    let w = cfg.build();
+    let pfs = PfsConfig::caltech(w.nodes, w.os);
+    collect(id, &w.name, steps, |v| {
+        let snapped = cfg.snap_interval(v);
+        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
+        let absorbing =
+            || BurstBufferConfig::absorbing(pfs.clone(), rec.checkpoint_files().to_vec());
+        let tier = match id {
+            CheckpointInterval => BackendConfig::Pfs(pfs.clone()),
+            CheckpointIntervalBurst => BackendConfig::Burst(absorbing()),
+            CheckpointIntervalBurstCrash => BackendConfig::Burst(BurstBufferConfig {
+                faults: env.burst_faults.clone(),
+                ..absorbing()
+            }),
+            _ => panic!("{} is not a checkpoint sweep", id.id()),
+        };
+        let r = run_with_recovery(&rec, &env.crashes, tier, SimOptions::default())
+            .unwrap_or_else(|e| panic!("{} interval={snapped}: {e}", id.id()));
+        let label = format!("every {snapped} steps");
+        SweepPoint::of_run(label, snapped.into(), r.recovery.time_to_solution, &r)
+    })
+}
+
+/// One offered-load measurement of the `load_factor` sweep: the
 /// per-class mean bounded slowdowns that the generic [`SweepPoint`]
 /// has no columns for.
 #[derive(Debug, Clone, PartialEq)]
@@ -557,112 +402,125 @@ pub struct LoadFactorPoint {
     pub events: u64,
 }
 
-/// Run the contention mix at each offered load. Load `100` maps to the
+/// Run the contention mix at one offered load. Load `100` maps to the
 /// reference mean inter-arrival of 200 ms; load `L` scales it by
 /// `100/L`, so higher loads compress the same seeded job sequence into
 /// a shorter window (Poisson gaps scale linearly with the mean for a
 /// fixed seed). The point of the axis: I/O-bound jobs queue at the
 /// shared I/O nodes, so their slowdown grows superlinearly with load,
 /// while compute-bound jobs degrade gently.
-pub fn load_factor_points(loads: &[u32], scale: Scale) -> Vec<LoadFactorPoint> {
+pub fn load_factor_point(pct: u32, scale: Scale) -> LoadFactorPoint {
+    assert!(pct > 0, "offered load must be positive");
     let reference = Time::from_millis(200);
-    let mut points: Vec<LoadFactorPoint> = loads
-        .iter()
-        .map(|&pct| {
-            assert!(pct > 0, "offered load must be positive");
-            let stream = mix_stream(scale, reference.scale(100.0 / f64::from(pct)));
-            let out = run_stream(
-                &stream,
-                QueuePolicy::Fcfs,
-                contended_machine(scale),
-                &format!("load_factor={pct}%"),
-            );
-            let io_time = out
-                .per_job
-                .iter()
-                .fold(Time::ZERO, |acc, r| acc.saturating_add(r.total_io_time()));
-            LoadFactorPoint {
-                load_pct: pct,
-                io_bsld: out
-                    .stats
-                    .mean_bounded_slowdown_of(IO_BOUND, CLASS_TAU)
-                    .unwrap_or(1.0),
-                cpu_bsld: out
-                    .stats
-                    .mean_bounded_slowdown_of(COMPUTE_BOUND, CLASS_TAU)
-                    .unwrap_or(1.0),
-                makespan: out.stats.makespan,
-                io_time,
-                events: out.stats.total_events,
-            }
-        })
-        .collect();
-    points.sort_by_key(|p| p.load_pct);
-    points
-}
-
-/// [`load_factor_points`] folded into the generic [`Sweep`] table so
-/// the repro CLI reports it beside the machine-configuration axes; the
-/// per-class slowdowns ride in the label column.
-pub fn load_factor_sweep(loads: &[u32], scale: Scale) -> Sweep {
-    let points = load_factor_points(loads, scale)
-        .into_iter()
-        .map(|p| SweepPoint {
-            label: format!(
-                "load={}% io {:.2} cpu {:.2}",
-                p.load_pct, p.io_bsld, p.cpu_bsld
-            ),
-            value: u64::from(p.load_pct),
-            exec_time: p.makespan,
-            io_time: p.io_time,
-            events: p.events,
-        })
-        .collect();
-    Sweep {
-        parameter: "load_factor",
-        workload: "contention mix (io-bound + compute-bound)".into(),
-        points,
+    let stream = mix_stream(scale, reference.scale(100.0 / f64::from(pct)));
+    let out = run_stream(
+        &stream,
+        QueuePolicy::Fcfs,
+        contended_machine(scale),
+        &format!("load_factor={pct}%"),
+    );
+    let slowdown = |class| {
+        out.stats
+            .mean_bounded_slowdown_of(class, CLASS_TAU)
+            .unwrap_or(1.0)
+    };
+    LoadFactorPoint {
+        load_pct: pct,
+        io_bsld: slowdown(IO_BOUND),
+        cpu_bsld: slowdown(COMPUTE_BOUND),
+        makespan: out.stats.makespan,
+        io_time: out
+            .per_job
+            .iter()
+            .fold(Time::ZERO, |acc, r| acc.saturating_add(r.total_io_time())),
+        events: out.stats.total_events,
     }
 }
 
-/// Sweep the staging-queue depth against the consumer's analysis
-/// speed for a coupled streaming pipeline: the stall-time surface of
-/// the tentpole question "how much staging memory buys a stall-free
-/// producer at a given consumer speed?". `depths_kib` of `0` means
-/// unbounded; the point label carries both axes, `value` encodes them
-/// as `depth_kib * 1000 + speed_pct`, `exec_time` is the end-to-end
-/// pipeline latency, and `io_time` reports the producer's stall.
-pub fn staging_depth_sweep(cadence: &StreamCadence, depths_kib: &[u32], speeds: &[u32]) -> Sweep {
-    let grid: Vec<(u32, u32)> = depths_kib
-        .iter()
-        .flat_map(|&d| speeds.iter().map(move |&s| (d, s)))
-        .collect();
-    let mut points: Vec<SweepPoint> = grid
-        .iter()
-        .map(|&(depth_kib, pct)| {
-            let depth = u64::from(depth_kib) * 1024;
-            let route = Route::Stream(StagingConfig::paragon(depth));
-            let o = run_coupled(cadence, &route, pct, &FaultSchedule::empty())
-                .unwrap_or_else(|e| panic!("staging_depth depth={depth_kib}K speed={pct}%: {e}"));
-            let depth_label = if depth_kib == 0 {
-                "unbounded".to_string()
-            } else {
-                format!("{depth_kib}K")
+fn prism_config(version: PrismVersion, scale: Scale) -> PrismConfig {
+    match scale {
+        Scale::Smoke => PrismConfig::tiny(version),
+        Scale::Full => PrismConfig::test_problem(version),
+    }
+}
+
+/// Run sweep `id` over `values` on its base workload at `scale`: ESCAT
+/// B for `io_nodes` and `stripe_unit`, PRISM A for the other machine
+/// axes, PRISM B under [`CrashEnv::seeded`] for the checkpoint axes,
+/// and:
+///
+/// - `mtbf`: ESCAT C checkpointing every step, with the MTBF as a
+///   percentage of the fault-free run. For one seed the crash gaps
+///   scale with the MTBF, so a shorter one packs strictly more crashes
+///   into the same horizon: inflation comes from crash density alone.
+/// - `load_factor`: the contention mix, slowdowns in the label column.
+/// - `staging_depth`: PRISM C's stream cadence coupled through a
+///   staging queue. `exec_time` is the pipeline latency and `io_time`
+///   the producer's stall.
+pub fn sweep(id: SweepId, scale: Scale, values: &[u32]) -> Sweep {
+    use SweepId::*;
+    match id {
+        IoNodes | StripeUnit => machine_sweep(id, &WorkloadId::EscatB.build(scale), values),
+        DiskBandwidth | DegradedArrays | FaultIntensity => {
+            machine_sweep(id, &WorkloadId::PrismA.build(scale), values)
+        }
+        CheckpointInterval | CheckpointIntervalBurst | CheckpointIntervalBurstCrash => {
+            let cfg = prism_config(PrismVersion::B, scale);
+            checkpoint_sweep(id, &cfg, values, &CrashEnv::seeded(&cfg))
+        }
+        Mtbf => {
+            let cfg = match scale {
+                Scale::Smoke => EscatConfig::tiny(EscatVersion::C),
+                Scale::Full => EscatConfig::ethylene(EscatVersion::C),
             };
-            SweepPoint {
-                label: format!("depth={depth_label} speed={pct}%"),
-                value: u64::from(depth_kib) * 1000 + u64::from(pct),
-                exec_time: o.pipeline_latency,
-                io_time: o.producer_stall,
-                events: o.chunks,
-            }
-        })
-        .collect();
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "staging_depth",
-        workload: cadence.name.clone(),
-        points,
+            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
+            let w = rec.workload();
+            let pfs = PfsConfig::caltech(w.nodes, w.os);
+            let baseline = baseline_exec(w, &pfs);
+            let (horizon, rework) = crash_horizon_and_rework(baseline);
+            let fault_gen = FaultGen::new(MTBF_SEED, horizon, pfs.machine.io_nodes);
+            collect(id, &w.name, values, |pct| {
+                let mtbf = baseline.scale(f64::from(pct) / 100.0);
+                let crashes = fault_gen.compute_crash_schedule(mtbf, rework, w.nodes);
+                let r = run_with_recovery(&rec, &crashes, pfs.clone(), SimOptions::default())
+                    .unwrap_or_else(|e| panic!("mtbf={pct}%: {e}"));
+                let label = format!("mtbf={pct}% ({} crashes)", crashes.events.len());
+                SweepPoint::of_run(label, pct.into(), r.recovery.time_to_solution, &r)
+            })
+        }
+        LoadFactor => {
+            let name = "contention mix (io-bound + compute-bound)";
+            collect(id, name, values, |pct| {
+                let p = load_factor_point(pct, scale);
+                SweepPoint {
+                    label: format!("load={pct}% io {:.2} cpu {:.2}", p.io_bsld, p.cpu_bsld),
+                    value: pct.into(),
+                    exec_time: p.makespan,
+                    io_time: p.io_time,
+                    events: p.events,
+                }
+            })
+        }
+        StagingDepth => {
+            let cadence = prism_config(PrismVersion::C, scale).stream_cadence();
+            collect(id, &cadence.name, values, |v| {
+                let (depth_kib, pct) = (v / 1000, v % 1000);
+                let route = Route::Stream(StagingConfig::paragon(u64::from(depth_kib) * 1024));
+                let o = run_coupled(&cadence, &route, pct, &FaultSchedule::empty())
+                    .unwrap_or_else(|e| panic!("staging_depth={v}: {e}"));
+                let depth = match depth_kib {
+                    0 => "unbounded".to_string(),
+                    d => format!("{d}K"),
+                };
+                SweepPoint {
+                    label: format!("depth={depth} speed={pct}%"),
+                    value: v.into(),
+                    exec_time: o.pipeline_latency,
+                    io_time: o.producer_stall,
+                    events: o.chunks,
+                }
+            })
+        }
     }
 }
 
@@ -671,58 +529,7 @@ pub fn staging_depth_sweep(cadence: &StreamCadence, depths_kib: &[u32], speeds: 
 /// campaign engine share, so "the `io_nodes` sweep" means the same
 /// runs everywhere.
 pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
-    let escat_b = match scale {
-        Scale::Smoke => EscatConfig::tiny(EscatVersion::B).build(),
-        Scale::Full => EscatConfig::ethylene(EscatVersion::B).build(),
-    };
-    let prism_a = match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::A).build(),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::A).build(),
-    };
-    match id {
-        SweepId::IoNodes => io_node_sweep(&escat_b, &[2, 4, 8, 16, 32]),
-        SweepId::StripeUnit => stripe_sweep(&escat_b, &[16 << 10, 64 << 10, 256 << 10]),
-        SweepId::DiskBandwidth => disk_bandwidth_sweep(&prism_a, &[2, 8, 32]),
-        SweepId::DegradedArrays => degraded_array_sweep(&prism_a, &[0, 4, 8]),
-        SweepId::FaultIntensity => fault_intensity_sweep(&prism_a, &[0, 2, 4, 8], 0xF417),
-        SweepId::Mtbf => {
-            let cfg = match scale {
-                Scale::Smoke => EscatConfig::tiny(EscatVersion::C),
-                Scale::Full => EscatConfig::ethylene(EscatVersion::C),
-            };
-            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
-            mtbf_sweep(&rec, &[25, 50, 100, 200, 400], 0x4EC0)
-        }
-        SweepId::CheckpointInterval => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-            };
-            checkpoint_interval_sweep(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
-        }
-        SweepId::CheckpointIntervalBurst => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-            };
-            checkpoint_interval_sweep_burst(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
-        }
-        SweepId::CheckpointIntervalBurstCrash => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-            };
-            checkpoint_interval_sweep_burst_crash(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
-        }
-        SweepId::LoadFactor => load_factor_sweep(&[25, 50, 100, 200, 400], scale),
-        SweepId::StagingDepth => {
-            let cadence = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::C).stream_cadence(),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::C).stream_cadence(),
-            };
-            staging_depth_sweep(&cadence, &[16, 64, 512, 0], &[50, 100, 200])
-        }
-    }
+    sweep(id, scale, id.grid())
 }
 
 #[cfg(test)]
@@ -752,12 +559,19 @@ mod tests {
                 "staging_depth"
             ]
         );
+        // staging_depth flattens depth (KiB, 0 = unbounded) × speed.
+        let flat: Vec<u32> = [16, 64, 512, 0]
+            .iter()
+            .flat_map(|d| [50, 100, 200].map(|s| d * 1000 + s))
+            .collect();
+        assert_eq!(SweepId::StagingDepth.grid(), flat);
     }
 
     #[test]
     fn staging_depth_sweep_surfaces_the_stall_tradeoff() {
-        let cadence = PrismConfig::tiny(PrismVersion::C).stream_cadence();
-        let sweep = staging_depth_sweep(&cadence, &[16, 512, 0], &[50, 100]);
+        // Depths {16K, 512K, unbounded} × speeds {50%, 100%}.
+        let grid = [16_050, 16_100, 512_050, 512_100, 50, 100];
+        let sweep = super::sweep(SweepId::StagingDepth, Scale::Smoke, &grid);
         assert_eq!(sweep.points.len(), 6);
         assert_eq!(sweep.parameter, "staging_depth");
         // Tight depth at a slow consumer stalls; unbounded never does.
@@ -779,7 +593,7 @@ mod tests {
             sweep.render()
         );
         // Replay identity for the whole grid.
-        let again = staging_depth_sweep(&cadence, &[16, 512, 0], &[50, 100]);
+        let again = super::sweep(SweepId::StagingDepth, Scale::Smoke, &grid);
         for (a, b) in sweep.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.io_time, b.io_time);
@@ -789,7 +603,7 @@ mod tests {
     #[test]
     fn io_node_sweep_runs_and_orders_points() {
         let w = EscatConfig::tiny(EscatVersion::C).build();
-        let sweep = io_node_sweep(&w, &[2, 8, 4]);
+        let sweep = machine_sweep(SweepId::IoNodes, &w, &[2, 8, 4]);
         assert_eq!(sweep.points.len(), 3);
         assert_eq!(sweep.points[0].value, 2);
         assert_eq!(sweep.points[2].value, 8);
@@ -800,7 +614,7 @@ mod tests {
     #[test]
     fn more_io_nodes_never_hurt_a_staging_workload() {
         let w = EscatConfig::tiny(EscatVersion::B).build();
-        let sweep = io_node_sweep(&w, &[1, 2, 4, 8, 16]);
+        let sweep = machine_sweep(SweepId::IoNodes, &w, &[1, 2, 4, 8, 16]);
         assert!(sweep.io_time_monotone_nonincreasing(), "{}", sweep.render());
         assert!(sweep.best_io_speedup() >= 1.0);
     }
@@ -808,7 +622,7 @@ mod tests {
     #[test]
     fn stripe_sweep_runs() {
         let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = stripe_sweep(&w, &[16 << 10, 64 << 10, 256 << 10]);
+        let sweep = machine_sweep(SweepId::StripeUnit, &w, &[16 << 10, 64 << 10, 256 << 10]);
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.points.iter().all(|p| p.io_time > Time::ZERO));
     }
@@ -816,7 +630,7 @@ mod tests {
     #[test]
     fn degraded_arrays_increase_io_time() {
         let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = degraded_array_sweep(&w, &[0, 1, 2]);
+        let sweep = machine_sweep(SweepId::DegradedArrays, &w, &[0, 1, 2]);
         let healthy = sweep.points.first().expect("points").io_time;
         let worst = sweep.points.last().expect("points").io_time;
         assert!(worst > healthy, "{}", sweep.render());
@@ -827,7 +641,7 @@ mod tests {
     #[test]
     fn fault_intensity_zero_matches_healthy_and_inflation_accumulates() {
         let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = fault_intensity_sweep(&w, &[0, 3, 8], 0xF417);
+        let sweep = machine_sweep(SweepId::FaultIntensity, &w, &[0, 3, 8]);
         assert_eq!(sweep.points.len(), 3);
         let healthy = run(&w, PfsConfig::caltech(w.nodes, w.os), SimOptions::default()).unwrap();
         assert_eq!(
@@ -849,7 +663,7 @@ mod tests {
         let cfg = EscatConfig::tiny(EscatVersion::C);
         let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
         let percents = [25, 75, 400];
-        let sweep = mtbf_sweep(&rec, &percents, 0x4EC0);
+        let sweep = super::sweep(SweepId::Mtbf, Scale::Smoke, &percents);
         assert_eq!(sweep.parameter, "mtbf");
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.points.windows(2).all(|w| w[0].value < w[1].value));
@@ -864,7 +678,7 @@ mod tests {
             .exec_time;
         let horizon = baseline.scale(3.2);
         let rework = baseline.scale(0.05).max(Time::from_secs(1));
-        let fgen = FaultGen::new(0x4EC0, horizon, base_cfg.machine.io_nodes);
+        let fgen = FaultGen::new(MTBF_SEED, horizon, base_cfg.machine.io_nodes);
         let counts: Vec<usize> = percents
             .iter()
             .map(|&pct| {
@@ -890,7 +704,7 @@ mod tests {
         }
 
         // Same seed, same sweep — the whole chain is deterministic.
-        let again = mtbf_sweep(&rec, &percents, 0x4EC0);
+        let again = super::sweep(SweepId::Mtbf, Scale::Smoke, &percents);
         for (a, b) in sweep.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.label, b.label);
@@ -934,7 +748,11 @@ mod tests {
                 rework: Time::from_secs(1),
             },
         );
-        let sweep = checkpoint_interval_sweep_with(&cfg, &[10, 20], &crashes);
+        let env = CrashEnv {
+            crashes,
+            burst_faults: FaultSchedule::empty(),
+        };
+        let sweep = checkpoint_sweep(SweepId::CheckpointInterval, &cfg, &[10, 20], &env);
         assert_eq!(sweep.parameter, "checkpoint_interval");
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.points[0].value, 10);
@@ -955,8 +773,9 @@ mod tests {
     fn burst_buffer_flattens_the_checkpoint_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 2, 5, 10, 25];
-        let plain = checkpoint_interval_sweep(&cfg, &intervals, 0x0C7);
-        let burst = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
+        let env = CrashEnv::seeded(&cfg);
+        let plain = checkpoint_sweep(SweepId::CheckpointInterval, &cfg, &intervals, &env);
+        let burst = checkpoint_sweep(SweepId::CheckpointIntervalBurst, &cfg, &intervals, &env);
         assert_eq!(burst.parameter, "checkpoint_interval_burst");
         assert_eq!(plain.points.len(), burst.points.len());
         let min_tts = |s: &Sweep| {
@@ -991,8 +810,14 @@ mod tests {
     fn burst_faults_never_improve_the_flattened_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 5, 25];
-        let clean = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
-        let faulted = checkpoint_interval_sweep_burst_crash(&cfg, &intervals, 0x0C7);
+        let env = CrashEnv::seeded(&cfg);
+        let clean = checkpoint_sweep(SweepId::CheckpointIntervalBurst, &cfg, &intervals, &env);
+        let faulted = checkpoint_sweep(
+            SweepId::CheckpointIntervalBurstCrash,
+            &cfg,
+            &intervals,
+            &env,
+        );
         assert_eq!(faulted.parameter, "checkpoint_interval_burst_crash");
         assert_eq!(clean.points.len(), faulted.points.len());
         for (f, c) in faulted.points.iter().zip(&clean.points) {
@@ -1006,7 +831,13 @@ mod tests {
             );
         }
         // Deterministic: same seed, same curve.
-        let again = checkpoint_interval_sweep_burst_crash(&cfg, &intervals, 0x0C7);
+        let env = CrashEnv::seeded(&cfg);
+        let again = checkpoint_sweep(
+            SweepId::CheckpointIntervalBurstCrash,
+            &cfg,
+            &intervals,
+            &env,
+        );
         for (a, b) in faulted.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.events, b.events);
@@ -1017,7 +848,8 @@ mod tests {
     fn seeded_checkpoint_interval_sweep_snaps_and_dedups_intervals() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         // 3 snaps to divisor 2, 4 to itself; 5 and 6 both snap to 5.
-        let sweep = checkpoint_interval_sweep(&cfg, &[3, 4, 5, 6], 0x0C7);
+        let env = CrashEnv::seeded(&cfg);
+        let sweep = checkpoint_sweep(SweepId::CheckpointInterval, &cfg, &[3, 4, 5, 6], &env);
         let values: Vec<u64> = sweep.points.iter().map(|p| p.value).collect();
         assert_eq!(values, vec![2, 4, 5]);
         assert!(sweep.points.iter().all(|p| p.exec_time > Time::ZERO));
@@ -1027,7 +859,13 @@ mod tests {
     #[test]
     fn load_inflates_io_bound_slowdown_fastest() {
         let loads = [25, 100, 400];
-        let pts = load_factor_points(&loads, Scale::Smoke);
+        let points = || -> Vec<LoadFactorPoint> {
+            loads
+                .iter()
+                .map(|&pct| load_factor_point(pct, Scale::Smoke))
+                .collect()
+        };
+        let pts = points();
         assert_eq!(pts.len(), 3);
 
         // Mean bounded slowdown never improves as the load rises (2%
@@ -1059,11 +897,10 @@ mod tests {
         assert!(cpu_excess(&pts[2]) < 0.1 * io_excess(&pts[2]), "{pts:?}");
 
         // The whole chain is deterministic.
-        let again = load_factor_points(&loads, Scale::Smoke);
-        assert_eq!(pts, again);
+        assert_eq!(pts, points());
 
         // The Sweep wrapper carries the same data for the CLI.
-        let sweep = load_factor_sweep(&loads, Scale::Smoke);
+        let sweep = super::sweep(SweepId::LoadFactor, Scale::Smoke, &loads);
         assert_eq!(sweep.parameter, "load_factor");
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.render().contains("load=400%"));
@@ -1072,7 +909,7 @@ mod tests {
     #[test]
     fn faster_disks_reduce_io_time() {
         let w = PrismConfig::tiny(PrismVersion::A).build();
-        let sweep = disk_bandwidth_sweep(&w, &[2, 8, 32]);
+        let sweep = machine_sweep(SweepId::DiskBandwidth, &w, &[2, 8, 32]);
         let first = sweep.points.first().expect("points").io_time;
         let last = sweep.points.last().expect("points").io_time;
         assert!(last <= first, "{}", sweep.render());

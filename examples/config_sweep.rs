@@ -8,7 +8,7 @@
 //! ```
 
 use sioscope::experiments::Scale;
-use sioscope::sweeps::{disk_bandwidth_sweep, io_node_sweep, stripe_sweep};
+use sioscope::sweeps::{machine_sweep, SweepId};
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     };
 
     println!("== I/O-node scaling (ESCAT B: the all-node staging workload) ==\n");
-    let sweep = io_node_sweep(&escat, &[2, 4, 8, 16, 32]);
+    let sweep = machine_sweep(SweepId::IoNodes, &escat, &[2, 4, 8, 16, 32]);
     println!("{}", sweep.render());
     println!(
         "I/O-time speedup 2 -> best: {:.2}x\n",
@@ -34,7 +34,8 @@ fn main() {
     );
 
     println!("== Stripe-unit sensitivity (ESCAT B tuned to 64 KB stripes) ==\n");
-    let sweep = stripe_sweep(
+    let sweep = machine_sweep(
+        SweepId::StripeUnit,
         &escat,
         &[16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10],
     );
@@ -45,7 +46,7 @@ fn main() {
     );
 
     println!("== Disk-generation sweep (PRISM A: open/read-bound) ==\n");
-    let sweep = disk_bandwidth_sweep(&prism, &[2, 4, 8, 16, 32]);
+    let sweep = machine_sweep(SweepId::DiskBandwidth, &prism, &[2, 4, 8, 16, 32]);
     println!("{}", sweep.render());
     println!(
         "Faster arrays barely help version A: its bottleneck is serialized\n\

@@ -14,7 +14,7 @@
 //! ```
 
 use sioscope::experiments::{run_experiment, Experiment, Scale};
-use sioscope::sweeps::fault_intensity_sweep;
+use sioscope::sweeps::{machine_sweep, SweepId};
 use sioscope_workloads::{PrismConfig, PrismVersion};
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     } else {
         PrismConfig::test_problem(PrismVersion::B).build()
     };
-    let sweep = fault_intensity_sweep(&prism, &[0, 1, 2, 4, 8], 0xF417);
+    let sweep = machine_sweep(SweepId::FaultIntensity, &prism, &[0, 1, 2, 4, 8]);
     println!("{}", sweep.render());
     println!(
         "Schedules are nested by construction — intensity k is a prefix of\n\

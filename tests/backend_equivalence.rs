@@ -13,8 +13,9 @@
 //!    must match the same fingerprints, and recovery through it must
 //!    match recovery on the PFS tier.
 //!
-//! The suite closes with the issue's acceptance shape: the burst-tier
-//! checkpoint-interval sweep must beat the plain-PFS U-curve minimum.
+//! That the burst-tier checkpoint-interval sweep beats the plain-PFS
+//! U-curve minimum is pinned by the sweeps unit tests
+//! (`sweeps::tests::burst_buffer_flattens_the_checkpoint_u_curve`).
 
 use sioscope::canon::WorkloadId;
 use sioscope::experiments::Scale;
@@ -293,39 +294,4 @@ fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty
         resident.recovery.time_to_solution,
         empty_log.recovery.time_to_solution
     );
-}
-
-#[test]
-fn burst_tier_checkpoint_sweep_beats_the_plain_u_curve_minimum() {
-    use sioscope::sweeps::{checkpoint_interval_sweep, checkpoint_interval_sweep_burst};
-    use sioscope_workloads::{PrismConfig, PrismVersion};
-
-    let cfg = PrismConfig::tiny(PrismVersion::B);
-    let intervals = [1, 2, 5, 10, 25];
-    let plain = checkpoint_interval_sweep(&cfg, &intervals, 0x0C7);
-    let burst = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
-    assert_eq!(plain.points.len(), burst.points.len());
-
-    let min_tts = |s: &sioscope::sweeps::Sweep| {
-        s.points
-            .iter()
-            .map(|p| p.exec_time)
-            .min()
-            .expect("non-empty sweep")
-    };
-    let (p_min, b_min) = (min_tts(&plain), min_tts(&burst));
-    assert!(
-        b_min < p_min,
-        "the burst tier's optimal interval must beat the plain U-curve minimum: {b_min} vs {p_min}"
-    );
-    for (p, b) in plain.points.iter().zip(&burst.points) {
-        assert_eq!(p.value, b.value);
-        assert!(
-            b.exec_time <= p.exec_time,
-            "interval {}: burst TTS {} exceeds plain {}",
-            p.value,
-            b.exec_time,
-            p.exec_time
-        );
-    }
 }
