@@ -17,7 +17,10 @@
 //! truncated artifact. `--resume` skips experiments whose artifact
 //! already exists in `DIR` *and* holds trustworthy contents (a `.json`
 //! artifact must parse; an empty or corrupt file is regenerated), so
-//! an interrupted generation picks up where it stopped. `--sweeps` appends the machine-configuration
+//! an interrupted generation picks up where it stopped. The selected
+//! experiments run on every core and are printed and written in
+//! registry order once all of them are done; the sweeps then do the
+//! same. `--sweeps` appends the machine-configuration
 //! sweeps of the paper's future-work agenda (§7) plus the
 //! recovery-engine axes; `--sweeps=io_nodes,mtbf` selects a subset,
 //! run in registry order.
@@ -31,6 +34,7 @@ use sioscope::report;
 use sioscope::sweeps::{run_sweep, SweepId};
 use sioscope_bench::{artifact_resumable, parse_ids};
 use sioscope_campaign::{write_atomic, CliError};
+use sioscope_sim::par_map;
 use sioscope_trace::json::Json;
 use std::path::PathBuf;
 
@@ -77,18 +81,27 @@ pub fn main(mut args: Args) -> Result<(), CliError> {
 
     println!("{}", report::render_paper_reference());
 
+    // Experiments and sweeps run on every core; skipping, printing
+    // and writing stay in registry order.
+    let experiments: Vec<(Experiment, Option<PathBuf>)> = experiments
+        .into_iter()
+        .map(|e| (e, artifact(format!("{}.txt", e.id()))))
+        .collect();
+    let outputs = par_map(&experiments, |(e, path)| {
+        (!resumable(path)).then(|| {
+            let output = run_experiment(*e, scale);
+            (report::render_output(&output), output)
+        })
+    });
     let mut failures = 0usize;
     let mut check_rows = Vec::new();
-    for e in experiments {
-        let path = artifact(format!("{}.txt", e.id()));
-        if resumable(&path) {
+    for ((e, path), output) in experiments.iter().zip(outputs) {
+        let Some((rendered, output)) = output else {
             println!("-- {} already written, skipping (--resume)", e.id());
             continue;
-        }
-        let output = run_experiment(e, scale);
-        let rendered = report::render_output(&output);
+        };
         print!("{rendered}");
-        if let Some(path) = &path {
+        if let Some(path) = path {
             write_atomic(path, &rendered)?;
         }
         for c in &output.checks {
@@ -105,16 +118,21 @@ pub fn main(mut args: Args) -> Result<(), CliError> {
         println!("================================================================");
         println!("Machine-configuration sweeps (the paper's §7 future work)");
         println!("================================================================");
-        for &id in selection {
-            let path = artifact(format!("sweep-{}.txt", id.id()));
-            if resumable(&path) {
+        let selection: Vec<(SweepId, Option<PathBuf>)> = selection
+            .iter()
+            .map(|&id| (id, artifact(format!("sweep-{}.txt", id.id()))))
+            .collect();
+        let rendered = par_map(&selection, |(id, path)| {
+            (!resumable(path)).then(|| run_sweep(*id, scale).render())
+        });
+        for ((id, path), text) in selection.iter().zip(rendered) {
+            let Some(text) = text else {
                 println!("-- sweep {} already written, skipping (--resume)", id.id());
                 continue;
-            }
-            let sweep = run_sweep(id, scale);
-            println!("{}", sweep.render());
-            if let Some(p) = &path {
-                write_atomic(p, sweep.render())?;
+            };
+            println!("{text}");
+            if let Some(p) = path {
+                write_atomic(p, text)?;
             }
         }
     }

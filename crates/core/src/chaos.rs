@@ -36,20 +36,36 @@ use crate::recovery::run_with_recovery;
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendKind, PfsConfig};
-use sioscope_sim::Time;
+use sioscope_sim::{par_map, Time};
 use sioscope_stream::StagingConfig;
+use sioscope_trace::TraceRecorder;
 use sioscope_workloads::{
     CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload,
 };
 use std::collections::BTreeMap;
 
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, 64-bit, fed in pieces.
+struct Fnv64(u64);
+
+impl Fnv64 {
+    fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-64 of `trace`'s binary encoding, streamed through the encoder
+/// so the encoding is never held in memory.
+pub(crate) fn trace_fnv64(trace: &TraceRecorder) -> u64 {
+    let mut h = Fnv64::new();
+    sioscope_trace::binary::encode_with(trace, |piece| h.write(piece));
+    h.0
 }
 
 /// The canonical run fingerprint: exec nanoseconds, event count,
@@ -57,10 +73,9 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 /// trace and the per-node finish vector. Identical format to the
 /// committed `tests/golden/backend_baseline.txt` columns.
 pub fn fingerprint(r: &RunResult) -> String {
-    let trace_bytes = sioscope_trace::binary::encode(&r.trace);
-    let mut finish = Vec::with_capacity(r.node_finish.len() * 8);
+    let mut finish = Fnv64::new();
     for t in &r.node_finish {
-        finish.extend_from_slice(&t.as_nanos().to_le_bytes());
+        finish.write(&t.as_nanos().to_le_bytes());
     }
     format!(
         "{} {} {} {} {:016x} {:016x}",
@@ -68,8 +83,8 @@ pub fn fingerprint(r: &RunResult) -> String {
         r.events,
         r.fault_transitions,
         r.trace.len(),
-        fnv64(&trace_bytes),
-        fnv64(&finish)
+        trace_fnv64(&r.trace),
+        finish.0
     )
 }
 
@@ -191,68 +206,76 @@ pub fn chaos_case(
 ) -> ChaosVerdict {
     let ids = WorkloadId::all();
     let id = ids[(seed as usize) % ids.len()];
-    let workload = id.build(Scale::Smoke);
     let mut violations = Vec::new();
-
-    let run_with = |faults: FaultSchedule| {
-        run(
-            &workload,
-            tier_config(tier, &workload, faults),
-            SimOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", id.id(), tier.id()))
-    };
-
-    // Fault-free baseline, checked against the committed golden
-    // fingerprints on the measured (PFS) tier.
-    let clean = run_with(FaultSchedule::empty());
-    let clean_fp = fingerprint(&clean);
-    if tier == BackendKind::Pfs {
-        if let Some(want) = golden.and_then(|g| g.get(id.id())) {
-            if *want != clean_fp {
-                violations.push(format!(
-                    "golden divergence: fault-free pfs run is {clean_fp}, baseline says {want}"
-                ));
-            }
-        }
-    }
-    if !clean.backend_stats.conserves_bytes() {
-        violations.push(format!(
-            "fault-free conservation broken: {:?}",
-            clean.backend_stats
-        ));
-    }
-
-    // Engaged-but-empty hooks must be invisible.
-    let engaged = run_with(FaultSchedule::engaged_empty());
-    let engaged_fp = fingerprint(&engaged);
-    if engaged_fp != clean_fp {
-        violations.push(format!(
-            "engaged-empty schedule perturbed the run: {engaged_fp} vs {clean_fp}"
-        ));
-    }
-
     // The fuzzed schedule: event count is itself seed-derived so the
     // soak covers sparse and dense schedules alike.
     let events = 1 + (seed % 4) as usize;
-    let faults = tier_schedule(tier, seed, clean.exec_time, &workload, events);
-    let faulted = run_with(faults.clone());
-    let faulted_fp = fingerprint(&faulted);
 
-    if !faulted.backend_stats.conserves_bytes() {
-        let s = faulted.backend_stats;
-        violations.push(format!(
-            "conservation broken under faults: {} logged != {} drained + {} resident + {} lost",
-            s.bytes_logged, s.bytes_drained, s.bytes_resident, s.bytes_lost
-        ));
-    }
+    // Each run is dropped as soon as its fingerprint and stats are
+    // read, and the workload before the recovery phase, so a case
+    // holds one run's trace at a time.
+    let (clean_exec, faulted_fp) = {
+        let workload = id.build(Scale::Smoke);
+        let run_with = |faults: FaultSchedule| {
+            run(
+                &workload,
+                tier_config(tier, &workload, faults),
+                SimOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", id.id(), tier.id()))
+        };
 
-    // Same seed, same world.
-    let replay = run_with(faults);
-    let replay_fp = fingerprint(&replay);
-    if replay_fp != faulted_fp || replay.resilience != faulted.resilience {
-        violations.push(format!("replay divergence: {replay_fp} vs {faulted_fp}"));
-    }
+        // Fault-free baseline, checked against the committed golden
+        // fingerprints on the measured (PFS) tier.
+        let clean = run_with(FaultSchedule::empty());
+        let clean_fp = fingerprint(&clean);
+        if tier == BackendKind::Pfs {
+            if let Some(want) = golden.and_then(|g| g.get(id.id())) {
+                if *want != clean_fp {
+                    violations.push(format!(
+                        "golden divergence: fault-free pfs run is {clean_fp}, baseline says {want}"
+                    ));
+                }
+            }
+        }
+        if !clean.backend_stats.conserves_bytes() {
+            violations.push(format!(
+                "fault-free conservation broken: {:?}",
+                clean.backend_stats
+            ));
+        }
+        let clean_exec = clean.exec_time;
+        drop(clean);
+
+        // Engaged-but-empty hooks must be invisible.
+        let engaged_fp = fingerprint(&run_with(FaultSchedule::engaged_empty()));
+        if engaged_fp != clean_fp {
+            violations.push(format!(
+                "engaged-empty schedule perturbed the run: {engaged_fp} vs {clean_fp}"
+            ));
+        }
+
+        let faults = tier_schedule(tier, seed, clean_exec, &workload, events);
+        let faulted = run_with(faults.clone());
+        let faulted_fp = fingerprint(&faulted);
+        if !faulted.backend_stats.conserves_bytes() {
+            let s = faulted.backend_stats;
+            violations.push(format!(
+                "conservation broken under faults: {} logged != {} drained + {} resident + {} lost",
+                s.bytes_logged, s.bytes_drained, s.bytes_resident, s.bytes_lost
+            ));
+        }
+        let faulted_resilience = faulted.resilience;
+        drop(faulted);
+
+        // Same seed, same world.
+        let replay = run_with(faults);
+        let replay_fp = fingerprint(&replay);
+        if replay_fp != faulted_fp || replay.resilience != faulted_resilience {
+            violations.push(format!("replay divergence: {replay_fp} vs {faulted_fp}"));
+        }
+        (clean_exec, faulted_fp)
+    };
 
     // Recovery sanity: compute crashes only ever *add* time — rework,
     // restart latency, replayed work — so with the tier's faults held
@@ -262,31 +285,27 @@ pub fn chaos_case(
     // lost-bytes commits route through `durable_commits` here).
     let rec =
         EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
-    let rec_faults = tier_schedule(tier, seed, clean.exec_time, rec.workload(), events);
-    let rec_base = run_with_recovery(
-        &rec,
-        &FaultSchedule::empty(),
-        tier_config(tier, rec.workload(), rec_faults.clone()),
-        SimOptions::default(),
-    )
-    .expect("crash-free recovery run");
-    let horizon = rec_base.exec_time;
+    let rec_faults = tier_schedule(tier, seed, clean_exec, rec.workload(), events);
+    let recover = |crashes: &FaultSchedule, what: &str| {
+        let r = run_with_recovery(
+            &rec,
+            crashes,
+            tier_config(tier, rec.workload(), rec_faults.clone()),
+            SimOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{what} recovery run: {e}"));
+        (r.exec_time, r.recovery.time_to_solution)
+    };
+    let (horizon, base_tts) = recover(&FaultSchedule::empty(), "crash-free");
     let crashes = FaultGen::new(seed, horizon, 0).compute_crash_schedule(
         horizon.scale(0.4).max(Time::from_millis(1)),
         horizon.scale(0.05).max(Time::from_millis(1)),
         rec.workload().nodes,
     );
-    let rec_crashed = run_with_recovery(
-        &rec,
-        &crashes,
-        tier_config(tier, rec.workload(), rec_faults),
-        SimOptions::default(),
-    )
-    .expect("crashed recovery run");
-    if rec_crashed.recovery.time_to_solution < rec_base.recovery.time_to_solution {
+    let (_, crashed_tts) = recover(&crashes, "crashed");
+    if crashed_tts < base_tts {
         violations.push(format!(
-            "recovery TTS beat the crash-free run: {} < {}",
-            rec_crashed.recovery.time_to_solution, rec_base.recovery.time_to_solution
+            "recovery TTS beat the crash-free run: {crashed_tts} < {base_tts}"
         ));
     }
 
@@ -416,23 +435,22 @@ pub fn stream_chaos_case(seed: u64) -> ChaosVerdict {
 }
 
 /// Soak `seeds` schedules across every tier in `tiers`, returning one
-/// verdict per (tier, seed) in deterministic order.
+/// verdict per (tier, seed) in deterministic order: tier by tier, seeds
+/// ascending. The cases are independent and run on every core.
 pub fn chaos_soak(
     tiers: &[ChaosTier],
     start_seed: u64,
     seeds: u64,
     golden: Option<&BTreeMap<String, String>>,
 ) -> Vec<ChaosVerdict> {
-    let mut verdicts = Vec::new();
-    for &tier in tiers {
-        for seed in start_seed..start_seed.saturating_add(seeds) {
-            verdicts.push(match tier {
-                ChaosTier::Backend(b) => chaos_case(b, seed, golden),
-                ChaosTier::Stream => stream_chaos_case(seed),
-            });
-        }
-    }
-    verdicts
+    let cases: Vec<(ChaosTier, u64)> = tiers
+        .iter()
+        .flat_map(|&tier| (start_seed..start_seed.saturating_add(seeds)).map(move |s| (tier, s)))
+        .collect();
+    par_map(&cases, |&(tier, seed)| match tier {
+        ChaosTier::Backend(b) => chaos_case(b, seed, golden),
+        ChaosTier::Stream => stream_chaos_case(seed),
+    })
 }
 
 /// Parse the committed backend baseline (`tests/golden/
@@ -509,6 +527,56 @@ mod tests {
             assert_eq!(x.fingerprint, y.fingerprint);
             assert!(x.pass() && y.pass(), "{}\n{}", x.render(), y.render());
         }
+    }
+
+    #[test]
+    fn the_parallel_soak_equals_a_serial_loop() {
+        let tiers = ChaosTier::all();
+        let soak = chaos_soak(&tiers, 0, 16, None);
+        let mut serial = Vec::new();
+        for &tier in &tiers {
+            for seed in 0..16 {
+                serial.push(match tier {
+                    ChaosTier::Backend(b) => chaos_case(b, seed, None),
+                    ChaosTier::Stream => stream_chaos_case(seed),
+                });
+            }
+        }
+        assert_eq!(soak.len(), serial.len());
+        for (p, s) in soak.iter().zip(&serial) {
+            assert_eq!((p.tier, p.seed), (s.tier, s.seed));
+            assert_eq!(p.fingerprint, s.fingerprint);
+            assert_eq!(p.render(), s.render());
+        }
+    }
+
+    /// FNV-1a over a whole byte string, the one-shot reference.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_trace_digest_equals_the_digest_of_the_encoding() {
+        let w = WorkloadId::all()[0].build(Scale::Smoke);
+        let r = run(
+            &w,
+            tier_config(BackendKind::Pfs, &w, FaultSchedule::empty()),
+            SimOptions::default(),
+        )
+        .unwrap();
+        assert!(!r.trace.is_empty());
+        let encoded = sioscope_trace::binary::encode(&r.trace);
+        assert_eq!(trace_fnv64(&r.trace), fnv64(&encoded));
+        let empty = TraceRecorder::new();
+        assert_eq!(
+            trace_fnv64(&empty),
+            fnv64(&sioscope_trace::binary::encode(&empty))
+        );
     }
 
     #[test]

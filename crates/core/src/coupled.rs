@@ -21,7 +21,7 @@
 //! simulated timeline — no event queue, no RNG draws — so a seed's
 //! coupled run replays bit-identically.
 
-use crate::chaos::fnv64;
+use crate::chaos::trace_fnv64;
 use sioscope_faults::{FaultKind, FaultSchedule, Tier};
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_sim::{FileId, JobId, Pid, Time};
@@ -118,7 +118,6 @@ impl CoupledOutcome {
     /// Replay-checkable digest: finishes, stall, chunk ledger, and an
     /// FNV-64 over the binary trace.
     pub fn fingerprint(&self) -> String {
-        let trace_bytes = sioscope_trace::binary::encode(&self.trace);
         format!(
             "{} {} {} {} {} {:016x}",
             self.producer_finish.as_nanos(),
@@ -126,7 +125,7 @@ impl CoupledOutcome {
             self.producer_stall.as_nanos(),
             self.chunks,
             self.bytes,
-            fnv64(&trace_bytes)
+            trace_fnv64(&self.trace)
         )
     }
 }

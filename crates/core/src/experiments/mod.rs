@@ -278,21 +278,24 @@ impl ExperimentOutput {
     }
 }
 
+/// One memoized run: filled once, by whichever caller misses first.
+type RunCell = Arc<OnceLock<Arc<RunResult>>>;
+
 /// A process-wide memo of simulated runs keyed by `K`, held in a
 /// `static` by each application's experiment module.
-pub(crate) struct RunCache<K>(OnceLock<Mutex<HashMap<K, Arc<RunResult>>>>);
+pub(crate) struct RunCache<K>(OnceLock<Mutex<HashMap<K, RunCell>>>);
 
 impl<K: Eq + Hash> RunCache<K> {
     pub(crate) const fn new() -> Self {
         RunCache(OnceLock::new())
     }
 
-    /// The memoized runs, locked. A poisoned lock is recovered: a run
-    /// executes outside the lock and the map is only ever touched by
-    /// whole `get`/`insert`/`clear` calls, so a panicking run (which
-    /// campaign isolates with `catch_unwind`) cannot leave it
-    /// half-updated.
-    fn map(&self) -> MutexGuard<'_, HashMap<K, Arc<RunResult>>> {
+    /// The memoized cells, locked. A poisoned lock is recovered: the
+    /// map is only ever touched by whole `entry`/`clear` calls, and a
+    /// panicking run (which campaign isolates with `catch_unwind`)
+    /// panics outside the lock, leaving its cell empty for the next
+    /// caller.
+    fn map(&self) -> MutexGuard<'_, HashMap<K, RunCell>> {
         self.0
             .get_or_init(Default::default)
             .lock()
@@ -300,21 +303,23 @@ impl<K: Eq + Hash> RunCache<K> {
     }
 
     /// The run memoized under `key`, or `simulate`'s result, which is
-    /// then memoized. The simulation and the warm-up of the trace's
-    /// columnar index both happen outside the lock; every figure and
+    /// then memoized. The key's cell is taken under the lock and filled
+    /// outside it, so runs of different keys simulate concurrently
+    /// while callers missing the same key wait for its one simulation.
+    /// The fill also warms the trace's columnar index; every figure and
     /// table renderer querying the run shares that one index build.
     pub(crate) fn get_or_run(
         &self,
         key: K,
         simulate: impl FnOnce() -> RunResult,
     ) -> Arc<RunResult> {
-        if let Some(hit) = self.map().get(&key) {
-            return Arc::clone(hit);
-        }
-        let run = Arc::new(simulate());
-        run.trace.index();
-        self.map().insert(key, Arc::clone(&run));
-        run
+        let cell = Arc::clone(self.map().entry(key).or_default());
+        let run = cell.get_or_init(|| {
+            let run = simulate();
+            run.trace.index();
+            Arc::new(run)
+        });
+        Arc::clone(run)
     }
 
     fn clear(&self) {
@@ -377,6 +382,47 @@ pub fn run_experiment(experiment: Experiment, scale: Scale) -> ExperimentOutput 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_cache_simulates_a_shared_miss_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        static CACHE: RunCache<u32> = RunCache::new();
+        static SIMULATIONS: AtomicUsize = AtomicUsize::new(0);
+        let simulate = || {
+            SIMULATIONS.fetch_add(1, Ordering::SeqCst);
+            let w =
+                sioscope_workloads::EscatConfig::tiny(sioscope_workloads::EscatVersion::A).build();
+            let cfg = sioscope_pfs::PfsConfig::caltech(w.nodes, w.os);
+            crate::simulator::run(&w, cfg, Default::default()).unwrap()
+        };
+        let both_missed = Arc::new(Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let both_missed = Arc::clone(&both_missed);
+                std::thread::spawn(move || {
+                    both_missed.wait();
+                    CACHE.get_or_run(7, || {
+                        // Hold the fill long enough for the other
+                        // thread to reach the same key.
+                        std::thread::sleep(Duration::from_millis(50));
+                        simulate()
+                    })
+                })
+            })
+            .collect();
+        let runs: Vec<Arc<RunResult>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(SIMULATIONS.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&runs[0], &runs[1]));
+
+        // A later caller hits; a cleared cache simulates again.
+        CACHE.get_or_run(7, || unreachable!("memoized"));
+        CACHE.clear();
+        CACHE.get_or_run(7, simulate);
+        assert_eq!(SIMULATIONS.load(Ordering::SeqCst), 2);
+    }
 
     #[test]
     fn ids_round_trip() {

@@ -26,6 +26,7 @@ use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, OpKind};
 use sioscope_sim::{FileId, Time};
 use sioscope_workloads::Recoverable;
+use std::borrow::Cow;
 
 /// Accounting for one recovery story (one workload, one crash
 /// schedule, run to solution).
@@ -110,7 +111,11 @@ pub fn run_with_recovery(
     let mut next = 0usize;
     loop {
         stats.attempts += 1;
-        let workload = rec.slice_from(from);
+        // The first attempt runs the annotated workload as it is.
+        let workload = match from {
+            None => Cow::Borrowed(rec.workload()),
+            Some(_) => Cow::Owned(rec.slice_from(from)),
+        };
         let mut result = run(&workload, cfg.clone(), options.clone())?;
         let exec = result.exec_time;
         // Crashes at or before the attempt's launch instant fell into

@@ -324,7 +324,7 @@ pub fn run_schedule(
                 next_file += 1;
             }
             let key_base = collective_key(j as u32, attempt, 0);
-            jobs[j].gang = Gang::new(n, pid_base, file_base, key_base);
+            jobs[j].gang = Gang::new(workload, pid_base, file_base, key_base);
             jobs[j].events = 0;
             jobs[j].res_base = pfs.resilience_stats();
             jobs[j].partition = Some(part);
@@ -527,7 +527,11 @@ pub fn run_schedule(
 
     let mut per_job = Vec::with_capacity(jobs.len());
     let mut outcomes = Vec::with_capacity(jobs.len());
-    let mut merged = TraceRecorder::new();
+    let mut merged = TraceRecorder::with_capacity(
+        jobs.iter()
+            .map(|job| job.result.as_ref().map_or(0, |r| r.trace.len()))
+            .sum(),
+    );
     let mut job_map = JobMap::new();
     for (i, job) in jobs.iter_mut().enumerate() {
         let result = job.result.take().expect("all jobs finished");

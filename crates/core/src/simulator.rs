@@ -234,11 +234,14 @@ pub(crate) struct Gang {
 }
 
 impl Gang {
-    pub(crate) fn new(nodes: u32, pid_base: u32, file_base: u32, key_base: u64) -> Gang {
+    /// A gang about to run `workload` from its first statement. The
+    /// trace is sized to the workload's I/O statements, which is its
+    /// exact length when no fault intervenes.
+    pub(crate) fn new(workload: &Workload, pid_base: u32, file_base: u32, key_base: u64) -> Gang {
         Gang {
-            nodes: (0..nodes).map(|_| NodeState::default()).collect(),
-            unfinished: nodes as usize,
-            trace: TraceRecorder::new(),
+            nodes: (0..workload.nodes).map(|_| NodeState::default()).collect(),
+            unfinished: workload.nodes as usize,
+            trace: TraceRecorder::with_capacity(workload.io_stmts()),
             commits: BTreeMap::new(),
             pid_base,
             file_base,
@@ -433,7 +436,7 @@ fn run_loop(
         debug_assert_eq!(id.index(), i);
     }
 
-    let mut gang = Gang::new(workload.nodes, 0, 0, 0);
+    let mut gang = Gang::new(workload, 0, 0, 0);
     let mut shared = LoopState::new(mesh, options);
     let mut queue: EventQueue<Ev> = EventQueue::new();
 
@@ -541,6 +544,22 @@ mod tests {
                 vec![Stmt::Compute(Time::from_secs(2)), Stmt::Barrier],
             ],
             phases: vec![],
+        }
+    }
+
+    #[test]
+    fn a_fault_free_trace_holds_one_event_per_io_statement() {
+        use crate::canon::{tier_config, WorkloadId};
+        use crate::experiments::Scale;
+        use sioscope_faults::FaultSchedule;
+        use sioscope_pfs::BackendKind;
+        for id in WorkloadId::all() {
+            let w = id.build(Scale::Smoke);
+            for tier in BackendKind::all() {
+                let cfg = tier_config(tier, &w, FaultSchedule::empty());
+                let r = run(&w, cfg, SimOptions::default()).unwrap();
+                assert_eq!(r.trace.len(), w.io_stmts(), "{} on {tier}", id.id());
+            }
         }
     }
 

@@ -22,7 +22,7 @@ use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
 use sioscope_sched::QueuePolicy;
-use sioscope_sim::Time;
+use sioscope_sim::{par_map, Time};
 use sioscope_stream::StagingConfig;
 use sioscope_workloads::{
     CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload,
@@ -214,11 +214,17 @@ impl Sweep {
     }
 }
 
-/// The one sweep driver: run `point` at every value, then order the
-/// points by value and keep the first of any repeat (checkpoint
-/// intervals snap, so two requested values can land on one).
-fn collect(id: SweepId, name: &str, values: &[u32], point: impl Fn(u32) -> SweepPoint) -> Sweep {
-    let mut points: Vec<SweepPoint> = values.iter().map(|&v| point(v)).collect();
+/// The one sweep driver: run `point` at every value, the values spread
+/// over every core, then order the points by value and keep the first
+/// of any repeat (checkpoint intervals snap, so two requested values
+/// can land on one).
+fn collect(
+    id: SweepId,
+    name: &str,
+    values: &[u32],
+    point: impl Fn(u32) -> SweepPoint + Sync,
+) -> Sweep {
+    let mut points: Vec<SweepPoint> = par_map(values, |&v| point(v));
     points.sort_by_key(|p| p.value);
     points.dedup_by_key(|p| p.value);
     Sweep {

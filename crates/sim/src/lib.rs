@@ -18,7 +18,9 @@
 //! * [`DetRng`] — a seeded random-number source so every experiment is
 //!   exactly reproducible,
 //! * [`prop`] — the seeded property-test runner the workspace's
-//!   property tests draw their inputs with.
+//!   property tests draw their inputs with,
+//! * [`par_map`] — the ordered parallel map that spreads independent
+//!   runs over every core.
 //!
 //! Higher layers (the machine model, the PFS model, the application
 //! workloads) are pure policy over these mechanisms; the event loop
@@ -28,6 +30,7 @@ pub mod calendar;
 pub mod event;
 pub mod hash;
 pub mod ids;
+mod par;
 pub mod prop;
 pub mod rendezvous;
 pub mod rng;
@@ -38,6 +41,7 @@ pub use calendar::{Calendar, CalendarPool, Reservation};
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{DetHashMap, DetHashSet, FxBuildHasher, FxHasher};
 pub use ids::{FileId, JobId, NodeId, Pid};
+pub use par::par_map;
 pub use rendezvous::{RendezvousOutcome, RendezvousTable};
 pub use rng::DetRng;
 pub use time::Time;

@@ -122,28 +122,45 @@ fn kind_from_u8(v: u8) -> Result<OpKind, BinaryError> {
 
 const HEADER_BYTES: usize = 4 + 2 + 8;
 
-/// Append one event's record to `buf`.
-fn put_record(buf: &mut Vec<u8>, e: &IoEvent) {
-    buf.extend_from_slice(&e.pid.0.to_le_bytes());
-    buf.extend_from_slice(&e.file.0.to_le_bytes());
-    buf.push(kind_to_u8(e.kind));
-    buf.push(mode_to_u8(e.mode));
-    buf.extend_from_slice(&e.start.as_nanos().to_le_bytes());
-    buf.extend_from_slice(&e.duration.as_nanos().to_le_bytes());
-    buf.extend_from_slice(&e.bytes.to_le_bytes());
-    buf.extend_from_slice(&e.offset.to_le_bytes());
+/// The header of a trace of `count` records.
+fn header(count: u64) -> [u8; HEADER_BYTES] {
+    let mut h = [0u8; HEADER_BYTES];
+    h[..4].copy_from_slice(MAGIC);
+    h[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    h[6..].copy_from_slice(&count.to_le_bytes());
+    h
+}
+
+/// One event's record.
+fn record(e: &IoEvent) -> [u8; RECORD_BYTES] {
+    let mut r = [0u8; RECORD_BYTES];
+    r[0..4].copy_from_slice(&e.pid.0.to_le_bytes());
+    r[4..8].copy_from_slice(&e.file.0.to_le_bytes());
+    r[8] = kind_to_u8(e.kind);
+    r[9] = mode_to_u8(e.mode);
+    r[10..18].copy_from_slice(&e.start.as_nanos().to_le_bytes());
+    r[18..26].copy_from_slice(&e.duration.as_nanos().to_le_bytes());
+    r[26..34].copy_from_slice(&e.bytes.to_le_bytes());
+    r[34..42].copy_from_slice(&e.offset.to_le_bytes());
+    r
+}
+
+/// Hand the binary encoding of `trace` to `sink` piece by piece: the
+/// header, then one record per event. The concatenated pieces are
+/// exactly [`encode`]'s bytes, so a digest can stream them without
+/// materializing the encoding.
+pub fn encode_with(trace: &TraceRecorder, mut sink: impl FnMut(&[u8])) {
+    let events = trace.events();
+    sink(&header(events.len() as u64));
+    for e in events {
+        sink(&record(e));
+    }
 }
 
 /// Encode a trace to the binary format.
 pub fn encode(trace: &TraceRecorder) -> Vec<u8> {
-    let events = trace.events();
-    let mut buf = Vec::with_capacity(HEADER_BYTES + events.len() * RECORD_BYTES);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for e in events {
-        put_record(&mut buf, e);
-    }
+    let mut buf = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
+    encode_with(trace, |piece| buf.extend_from_slice(piece));
     buf
 }
 
@@ -203,17 +220,13 @@ pub struct StreamWriter<W: std::io::Write + std::io::Seek> {
 impl<W: std::io::Write + std::io::Seek> StreamWriter<W> {
     /// Start a stream, writing the header with a zero count.
     pub fn new(mut inner: W) -> std::io::Result<Self> {
-        inner.write_all(MAGIC)?;
-        inner.write_all(&VERSION.to_le_bytes())?;
-        inner.write_all(&0u64.to_le_bytes())?;
+        inner.write_all(&header(0))?;
         Ok(StreamWriter { inner, count: 0 })
     }
 
     /// Append one event.
     pub fn record(&mut self, e: &IoEvent) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(RECORD_BYTES);
-        put_record(&mut buf, e);
-        self.inner.write_all(&buf)?;
+        self.inner.write_all(&record(e))?;
         self.count += 1;
         Ok(())
     }
@@ -270,6 +283,15 @@ mod tests {
         let encoded = encode(&t);
         let back = decode(&encoded).expect("decodes");
         assert_eq!(back.events(), t.events());
+    }
+
+    #[test]
+    fn streamed_pieces_concatenate_to_the_encoding() {
+        let t = sample();
+        let mut pieces = Vec::new();
+        encode_with(&t, |p| pieces.push(p.to_vec()));
+        assert_eq!(pieces.len(), 1 + t.len());
+        assert_eq!(pieces.concat(), encode(&t));
     }
 
     #[test]

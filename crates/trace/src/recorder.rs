@@ -61,6 +61,15 @@ impl TraceRecorder {
         Self::default()
     }
 
+    /// An empty trace with room for `events` records, so a caller
+    /// that knows the trace's length records it without regrowing.
+    pub fn with_capacity(events: usize) -> Self {
+        TraceRecorder {
+            events: Vec::with_capacity(events),
+            index: OnceLock::new(),
+        }
+    }
+
     /// Record one completed operation.
     pub fn record(&mut self, event: IoEvent) {
         self.index.take();

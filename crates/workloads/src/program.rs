@@ -106,6 +106,16 @@ impl Workload {
         self.programs.iter().map(Vec::len).sum()
     }
 
+    /// Number of I/O statements across all nodes: the length of a
+    /// fault-free run's trace, where each one completes exactly once.
+    pub fn io_stmts(&self) -> usize {
+        self.programs
+            .iter()
+            .flatten()
+            .filter(|s| matches!(s, Stmt::Io { .. }))
+            .count()
+    }
+
     /// Total bytes read and written if every data op completes, as
     /// `(read, written)`.
     pub fn declared_volume(&self) -> (u64, u64) {
@@ -296,6 +306,7 @@ mod tests {
     fn volume_and_stmt_counts() {
         let w = tiny_workload();
         assert_eq!(w.total_stmts(), 9);
+        assert_eq!(w.io_stmts(), 6);
         assert_eq!(w.declared_volume(), (4, 10));
     }
 

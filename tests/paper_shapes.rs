@@ -7,12 +7,14 @@
 //! crossovers fall.
 
 use sioscope::experiments::{run_experiment, Experiment, Scale};
+use sioscope_sim::par_map;
 
 #[test]
 fn every_experiment_passes_its_shape_checks_at_full_scale() {
+    let experiments = Experiment::all();
+    let outputs = par_map(&experiments, |&e| run_experiment(e, Scale::Full));
     let mut failures = Vec::new();
-    for e in Experiment::all() {
-        let out = run_experiment(e, Scale::Full);
+    for (e, out) in experiments.iter().zip(&outputs) {
         for f in out.failures() {
             failures.push(format!("{}: {} — {}", e.id(), f.name, f.detail));
         }
